@@ -8,6 +8,7 @@ numeric failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -43,15 +44,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     result = ds.stats(pairs)
     if args.format == "json":
         import json
-        print(json.dumps({
-            "pair_count": result.pair_count,
-            "indication_min": result.indication_min,
-            "indication_avg": result.indication_avg,
-            "indication_max": result.indication_max,
-            "smiles_min": result.smiles_min,
-            "smiles_avg": result.smiles_avg,
-            "smiles_max": result.smiles_max,
-        }, indent=2))
+        print(json.dumps(dataclasses.asdict(result), indent=2))
         return 0
     from .rng import round_half_up
     rows = (

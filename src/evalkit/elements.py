@@ -18,11 +18,6 @@ ELEMENTS: frozenset[str] = frozenset((
     "Rg", "Cn", "Nh", "Fl", "Mc", "Lv", "Ts", "Og",
 ))
 
-# Atoms writable without brackets.  Two-letter symbols must be matched before
-# their one-letter prefixes (Cl before C, Br before B).
-ORGANIC_SUBSET: tuple[str, ...] = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
-TWO_LETTER_ORGANIC: tuple[str, ...] = ("Cl", "Br")
-
 # Elements that may carry the aromatic flag at all, and the subset writable
 # as bare lowercase symbols outside brackets.
 AROMATIC_CAPABLE: frozenset[str] = frozenset({"B", "C", "N", "O", "P", "S", "Se", "As"})

@@ -22,7 +22,8 @@ present.  Widths must be powers of two.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputError, SchemeMismatch
@@ -202,50 +203,46 @@ class KeyDescriptor:
     * ``bond:<single|double|triple|quadruple|aromatic>`` — bond order present
     * ``path:<E1-E2-...>`` — a simple path with that element sequence exists
       (either direction)
+
+    :meth:`parse` compiles the text into ``predicate`` once; equality and
+    hashing go by ``text`` alone.
     """
 
     text: str
+    predicate: Callable[[Molecule], bool] = field(compare=False, repr=False)
 
     @classmethod
     def parse(cls, text: str) -> "KeyDescriptor":
         parts = text.split(":")
         head = parts[0]
         if head == "ring" and len(parts) == 1:
-            return cls(text)
+            return cls(text, lambda mol: any(mol.ring_atom_flags))
         if head == "element" and len(parts) == 2 and parts[1]:
-            return cls(text)
+            symbol = parts[1]
+            return cls(text, lambda mol: any(a.element == symbol for a in mol.atoms))
         if head == "count" and len(parts) == 3 and parts[1] and parts[2].isdigit() \
                 and int(parts[2]) >= 1:
-            return cls(text)
+            symbol, needed = parts[1], int(parts[2])
+            return cls(text, lambda mol: sum(a.element == symbol
+                                             for a in mol.atoms) >= needed)
         if head == "ring-size" and len(parts) == 2 and parts[1].isdigit() \
                 and int(parts[1]) >= 3:
-            return cls(text)
+            size = int(parts[1])
+            return cls(text, lambda mol: size in mol.ring_sizes)
         if head == "bond" and len(parts) == 2 and parts[1] in _BOND_NAMES:
-            return cls(text)
+            wanted = _BOND_NAMES[parts[1]]
+            return cls(text, lambda mol: any(b.order is wanted for b in mol.bonds))
         if head == "path" and len(parts) == 2 and parts[1]:
-            elements = parts[1].split("-")
-            if len(elements) >= 2 and all(elements):
-                return cls(text)
+            sequence = tuple(parts[1].split("-"))
+            reverse = sequence[::-1]
+            if len(sequence) >= 2 and all(sequence):
+                return cls(text, lambda mol: (
+                    _element_path_exists(mol, sequence)
+                    or _element_path_exists(mol, reverse)))
         raise InputError(f"unrecognised key descriptor {text!r}")
 
     def matches(self, mol: Molecule) -> bool:
-        parts = self.text.split(":")
-        head = parts[0]
-        if head == "element":
-            return any(a.element == parts[1] for a in mol.atoms)
-        if head == "count":
-            needed = int(parts[2])
-            return sum(a.element == parts[1] for a in mol.atoms) >= needed
-        if head == "ring":
-            return any(mol.ring_atom_flags)
-        if head == "ring-size":
-            return int(parts[1]) in mol.ring_sizes
-        if head == "bond":
-            wanted = _BOND_NAMES[parts[1]]
-            return any(b.order is wanted for b in mol.bonds)
-        sequence = tuple(parts[1].split("-"))
-        return (_element_path_exists(mol, sequence)
-                or _element_path_exists(mol, sequence[::-1]))
+        return self.predicate(mol)
 
 
 def _element_path_exists(mol: Molecule, sequence: tuple[str, ...]) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import fingerprints as fp
@@ -34,11 +34,10 @@ from .errors import (
     EmptySet,
     InputError,
     SchemaMismatch,
-    SmilesParseError,
     TaskMismatch,
 )
 from .frechet import fcd_from_files, read_vector_rows
-from .smiles import parse_smiles, validate
+from .smiles import validate
 from .textmetrics import (
     CorpusPair,
     TokenMode,
@@ -116,30 +115,37 @@ def load_predictions(path: str | Path, task: Task) -> PredictionFile:
     return PredictionFile(rows=tuple(rows), task=task)
 
 
+def _score(header: str):
+    """A score column, shown under the paper table's ``header``."""
+    return field(metadata={"header": header})
+
+
+# Score fields come in table order.  The fields after them are written to
+# JSON as top-level keys in declaration order.
 @dataclass(frozen=True)
 class D2IReport:
-    bleu2: float
-    bleu4: float
-    rouge1: float
-    rouge2: float
-    rouge_l: float
-    meteor: float
-    text2mol: float | None
+    bleu2: float = _score("BLEU-2")
+    bleu4: float = _score("BLEU-4")
+    rouge1: float = _score("ROUGE-1")
+    rouge2: float = _score("ROUGE-2")
+    rouge_l: float = _score("ROUGE-L")
+    meteor: float = _score("METEOR")
+    text2mol: float | None = _score("Text2Mol")
     rows: int
     metadata: dict
 
 
 @dataclass(frozen=True)
 class I2DReport:
-    bleu: float
-    exact: float
-    levenshtein: float
-    maccs_fts: float | None
-    rdk_fts: float | None
-    morgan_fts: float | None
-    fcd: float | None
-    text2mol: float | None
-    validity: float
+    bleu: float = _score("BLEU")
+    exact: float = _score("Exact")
+    levenshtein: float = _score("Levenshtein")
+    maccs_fts: float | None = _score("MACCS")
+    rdk_fts: float | None = _score("RDK")
+    morgan_fts: float | None = _score("Morgan")
+    fcd: float | None = _score("FCD")
+    text2mol: float | None = _score("Text2Mol")
+    validity: float = _score("Validity")
     rows: int
     skipped_invalid: int
     metadata: dict
@@ -216,13 +222,16 @@ def eval_i2d(preds: PredictionFile,
              bits: int = 2048,
              max_path_bonds: int = 7,
              keyset: fp.KeySet | None = None,
-             bleu_max_n: int = 4,
-             smiles_token_mode: TokenMode = TokenMode.CHAR) -> I2DReport:
+             bleu_max_n: int = 4) -> I2DReport:
     """Score an indication→drug prediction file (SMILES metrics).
 
     Fingerprint similarities average only over pairs where both sides
     parse; the excluded pair count is reported as ``skipped_invalid``.  FCD
     requires both embedding files and is otherwise reported as not computed.
+
+    Each distinct SMILES string (after stripping whitespace) is validated
+    and fingerprinted once per call, however many rows repeat it.  A
+    reference is graded only when its row's hypothesis parses.
     """
     _require_task(preds, Task.INDICATION_TO_DRUG)
     if keyset is None:
@@ -234,42 +243,54 @@ def eval_i2d(preds: PredictionFile,
     references = [row.reference for row in preds.rows]
     hypotheses = [row.hypothesis for row in preds.rows]
 
-    corpus = CorpusPair.from_strings(references, hypotheses, smiles_token_mode)
+    corpus = CorpusPair.from_strings(references, hypotheses, TokenMode.CHAR)
     bleu_score = bleu(corpus, max_n=bleu_max_n)
     exact = exact_match(references, hypotheses)
     mean_lev = sum(
         levenshtein(r, h) for r, h in zip(references, hypotheses)) / len(preds)
-    validity = sum(
-        1 for h in hypotheses if validate(h, strict=strict_validity).verdict
-    ) / len(preds)
 
-    maccs_sum = rdk_sum = morgan_sum = 0.0
-    zero_zero = {"maccs": 0, "rdk": 0, "morgan": 0}
-    used = 0
+    # Looked up here, not at import, so a module attribute swapped at run
+    # time (a tracer, a test double) is the one called.
+    schemes = (
+        ("maccs", fp.key_fingerprint, (keyset,)),
+        ("rdk", fp.path_fingerprint, (max_path_bonds, bits)),
+        ("morgan", fp.morgan_fingerprint, (radius, bits)),
+    )
+    # stripped string -> (verdict, one fingerprint per scheme or None when
+    # unparseable); molecules are not kept, only what the scores need
+    records: dict[str, tuple[bool, tuple[fp.Fingerprint, ...] | None]] = {}
+
+    def grade(text: str) -> tuple[bool, tuple[fp.Fingerprint, ...] | None]:
+        stripped = text.strip()
+        record = records.get(stripped)
+        if record is None:
+            report = validate(stripped, strict=strict_validity)
+            mol = report.molecule
+            fps = None if mol is None else tuple(
+                make(mol, *args) for _, make, args in schemes)
+            record = records[stripped] = (report.verdict, fps)
+        return record
+
+    valid = used = 0
+    sums = [0.0] * len(schemes)
+    zero_zero = {label: 0 for label, _, _ in schemes}
     for ref_text, hyp_text in zip(references, hypotheses):
-        try:
-            ref_mol = parse_smiles(ref_text.strip())
-            hyp_mol = parse_smiles(hyp_text.strip())
-        except SmilesParseError:
+        verdict, hyp_fps = grade(hyp_text)
+        valid += verdict
+        if hyp_fps is None:
+            continue
+        _, ref_fps = grade(ref_text)
+        if ref_fps is None:
             continue
         used += 1
-        for label, make in (
-            ("maccs", lambda m: fp.key_fingerprint(m, keyset)),
-            ("rdk", lambda m: fp.path_fingerprint(m, max_path_bonds, bits)),
-            ("morgan", lambda m: fp.morgan_fingerprint(m, radius, bits)),
-        ):
-            fp_ref = make(ref_mol)
-            fp_hyp = make(hyp_mol)
-            if fp_ref.bits == 0 and fp_hyp.bits == 0:
+        for i, (label, _, _) in enumerate(schemes):
+            if ref_fps[i].bits == 0 and hyp_fps[i].bits == 0:
                 zero_zero[label] += 1
-            score = fp.tanimoto(fp_ref, fp_hyp)
-            if label == "maccs":
-                maccs_sum += score
-            elif label == "rdk":
-                rdk_sum += score
-            else:
-                morgan_sum += score
+            sums[i] += fp.tanimoto(ref_fps[i], hyp_fps[i])
+    validity = valid / len(preds)
     skipped = len(preds) - used
+    maccs_fts, rdk_fts, morgan_fts = (
+        total / used if used else None for total in sums)
 
     fcd = None
     if embeddings_ref is not None and embeddings_hyp is not None:
@@ -282,7 +303,7 @@ def eval_i2d(preds: PredictionFile,
     metadata = {
         "task": Task.INDICATION_TO_DRUG.value,
         "rows": len(preds),
-        "tokenization": smiles_token_mode.value,
+        "tokenization": TokenMode.CHAR.value,
         "bleu_max_n": bleu_max_n,
         "bleu_smoothing_epsilon": 1e-9,
         "levenshtein": "character level on raw strings",
@@ -303,9 +324,9 @@ def eval_i2d(preds: PredictionFile,
         bleu=bleu_score,
         exact=exact,
         levenshtein=mean_lev,
-        maccs_fts=maccs_sum / used if used else None,
-        rdk_fts=rdk_sum / used if used else None,
-        morgan_fts=morgan_sum / used if used else None,
+        maccs_fts=maccs_fts,
+        rdk_fts=rdk_fts,
+        morgan_fts=morgan_fts,
         fcd=fcd,
         text2mol=text2mol,
         validity=validity,
@@ -317,28 +338,14 @@ def eval_i2d(preds: PredictionFile,
 
 # --- rendering ---------------------------------------------------------------
 
-# (paper table header, report attribute) in table order
-D2I_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("BLEU-2", "bleu2"),
-    ("BLEU-4", "bleu4"),
-    ("ROUGE-1", "rouge1"),
-    ("ROUGE-2", "rouge2"),
-    ("ROUGE-L", "rouge_l"),
-    ("METEOR", "meteor"),
-    ("Text2Mol", "text2mol"),
-)
+def _columns(report_type: type) -> tuple[tuple[str, str], ...]:
+    """(paper table header, report attribute) for each score, in table order."""
+    return tuple((f.metadata["header"], f.name) for f in fields(report_type)
+                 if "header" in f.metadata)
 
-I2D_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("BLEU", "bleu"),
-    ("Exact", "exact"),
-    ("Levenshtein", "levenshtein"),
-    ("MACCS", "maccs_fts"),
-    ("RDK", "rdk_fts"),
-    ("Morgan", "morgan_fts"),
-    ("FCD", "fcd"),
-    ("Text2Mol", "text2mol"),
-    ("Validity", "validity"),
-)
+
+D2I_COLUMNS = _columns(D2IReport)
+I2D_COLUMNS = _columns(I2DReport)
 
 
 def _columns_for(report: D2IReport | I2DReport) -> tuple[tuple[str, str], ...]:
@@ -373,15 +380,14 @@ def _render_csv(report: D2IReport | I2DReport) -> str:
 
 
 def _render_json(report: D2IReport | I2DReport) -> str:
-    columns = _columns_for(report)
     payload: dict = {
         "task": report.metadata["task"],
-        "scores": {attr: getattr(report, attr) for _, attr in columns},
-        "rows": report.rows,
+        "scores": {attr: getattr(report, attr)
+                   for _, attr in _columns_for(report)},
     }
-    if isinstance(report, I2DReport):
-        payload["skipped_invalid"] = report.skipped_invalid
-    payload["metadata"] = report.metadata
+    for f in fields(report):
+        if "header" not in f.metadata:
+            payload[f.name] = getattr(report, f.name)
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
@@ -406,23 +412,11 @@ def report_from_json(text: str) -> D2IReport | I2DReport:
         raise SchemaMismatch(f"report is not valid JSON: {exc}") from exc
     try:
         task = Task(payload["task"])
+        report_type = (D2IReport if task is Task.DRUG_TO_INDICATION
+                       else I2DReport)
         scores = payload["scores"]
-        if task is Task.DRUG_TO_INDICATION:
-            return D2IReport(
-                bleu2=scores["bleu2"], bleu4=scores["bleu4"],
-                rouge1=scores["rouge1"], rouge2=scores["rouge2"],
-                rouge_l=scores["rouge_l"], meteor=scores["meteor"],
-                text2mol=scores["text2mol"], rows=payload["rows"],
-                metadata=payload["metadata"],
-            )
-        return I2DReport(
-            bleu=scores["bleu"], exact=scores["exact"],
-            levenshtein=scores["levenshtein"], maccs_fts=scores["maccs_fts"],
-            rdk_fts=scores["rdk_fts"], morgan_fts=scores["morgan_fts"],
-            fcd=scores["fcd"], text2mol=scores["text2mol"],
-            validity=scores["validity"], rows=payload["rows"],
-            skipped_invalid=payload["skipped_invalid"],
-            metadata=payload["metadata"],
-        )
+        return report_type(**{
+            f.name: scores[f.name] if "header" in f.metadata else payload[f.name]
+            for f in fields(report_type)})
     except (KeyError, ValueError) as exc:
         raise SchemaMismatch(f"report JSON missing fields: {exc}") from exc

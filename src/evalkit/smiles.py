@@ -266,7 +266,9 @@ class ValidityReport:
     """Outcome of :func:`validate`.
 
     ``valence_ok`` is None unless strict checking ran on a parseable string.
-    ``verdict`` is the conjunction of every populated flag.
+    ``verdict`` is the conjunction of every populated flag.  ``molecule`` is
+    the parsed graph when ``parseable`` holds and None otherwise; it takes
+    no part in equality.
     """
 
     smiles: str
@@ -276,6 +278,7 @@ class ValidityReport:
     valence_ok: bool | None
     verdict: bool
     failure_detail: str = ""
+    molecule: Molecule | None = field(default=None, compare=False, repr=False)
 
 
 class _Cursor:
@@ -575,6 +578,8 @@ def validate(text: str, strict: bool = False) -> ValidityReport:
     unparseable.  ``ring_closures_ok`` and ``parentheses_ok`` stay True
     unless the failure is specifically of that class, so a report pinpoints
     what broke; ``verdict`` is the conjunction of all populated flags.
+    A parseable string's report carries the parsed :class:`Molecule` as
+    ``molecule``, so a caller that needs the graph does not parse again.
     """
     stripped = text.strip()
     if not stripped:
@@ -597,7 +602,7 @@ def validate(text: str, strict: bool = False) -> ValidityReport:
     return ValidityReport(
         smiles=text, parseable=True, ring_closures_ok=True,
         parentheses_ok=True, valence_ok=valence, verdict=verdict,
-        failure_detail=detail)
+        failure_detail=detail, molecule=mol)
 
 
 def molecular_formula(mol: Molecule) -> str:

@@ -138,7 +138,6 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     specials: tuple[str, ...]
-    frozen: bool = True
 
     def __post_init__(self) -> None:
         if self.tokens[:len(self.specials)] != self.specials:
@@ -223,8 +222,6 @@ def build_vocab(corpus: Iterable[str],
 
 def encode(seq: TokenSequence, vocab: Vocabulary) -> list[int]:
     """Map each token text to its id (unknowns go to the unknown id)."""
-    if not vocab.frozen:
-        raise EvalkitError("cannot encode with an unfrozen vocabulary")
     return [vocab.id_of(token.text) for token in seq.tokens]
 
 

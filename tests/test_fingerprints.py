@@ -177,6 +177,10 @@ class TestKeys:
         for text in ("element:N", "count:C:8", "ring", "ring-size:5",
                      "bond:triple", "path:C-N-C"):
             assert KeyDescriptor.parse(text).text == text
+            # the compiled predicate takes no part in equality or hashing
+            assert KeyDescriptor.parse(text) == KeyDescriptor.parse(text)
+            assert hash(KeyDescriptor.parse(text)) == hash(
+                KeyDescriptor.parse(text))
 
     def test_default_keyset_is_stable(self):
         assert DEFAULT_KEYSET.name == "default-40"

@@ -1,0 +1,65 @@
+"""Golden reports: the CLI's report bytes must not drift across refactors.
+
+Each file under ``tests/fixtures/golden/`` is the stdout of one CLI call
+on a committed fixture.  The test renders every call again and compares
+byte for byte.  After a change that is meant to alter report bytes,
+rewrite the files with::
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from evalkit import cli
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN_DIR = FIXTURES / "golden"
+
+# report name -> (subcommand, fixture file, extra flags...)
+REPORTS = {
+    "i2d_small": ("eval-i2d", "predictions_i2d_small.jsonl"),
+    "i2d_small_strict": ("eval-i2d", "predictions_i2d_small.jsonl",
+                         "--strict-validity"),
+    "i2d_repeated": ("eval-i2d", "predictions_i2d_repeated.jsonl"),
+    "i2d_repeated_strict": ("eval-i2d", "predictions_i2d_repeated.jsonl",
+                            "--strict-validity"),
+    "d2i_small": ("eval-d2i", "predictions_d2i_small.jsonl"),
+}
+
+# golden file name -> CLI arguments
+GOLDEN = {
+    f"{name}.{fmt}": (*args, "--format", fmt)
+    for name, args in REPORTS.items()
+    for fmt in ("json", "csv", "table")
+}
+GOLDEN["stats_pairs_small.json"] = ("stats", "pairs_small.jsonl",
+                                    "--format", "json")
+
+
+def render(args: tuple[str, ...]) -> str:
+    command, fixture, *flags = args
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main([command, str(FIXTURES / fixture), *flags])
+    if code != 0:
+        raise RuntimeError(f"evalkit {' '.join(args)} exited {code}")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_rendering_matches_golden(name):
+    expected = (GOLDEN_DIR / name).read_bytes()
+    assert render(GOLDEN[name]).encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, args in GOLDEN.items():
+        (GOLDEN_DIR / name).write_bytes(render(args).encode("utf-8"))
+        print(f"wrote {GOLDEN_DIR / name}")

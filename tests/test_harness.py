@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from evalkit import harness, smiles
 from evalkit.errors import (
     DuplicateId,
     EmbeddingRowMismatch,
@@ -53,6 +54,30 @@ def i2d_preds(fixtures_dir):
 def d2i_preds(fixtures_dir):
     return load_predictions(fixtures_dir / "predictions_d2i_small.jsonl",
                             Task.DRUG_TO_INDICATION)
+
+
+def _i2d_file(tmp_path, pairs):
+    path = tmp_path / "p.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": f"r{i}", "reference": r, "hypothesis": h}) + "\n"
+        for i, (r, h) in enumerate(pairs)))
+    return load_predictions(path, Task.INDICATION_TO_DRUG)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every string handed to the SMILES parser during the test, in order."""
+    calls = []
+    real = smiles.parse_smiles
+
+    def recording(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(smiles, "parse_smiles", recording)
+    # harness must parse only through validate; record a direct import too
+    monkeypatch.setattr(harness, "parse_smiles", recording, raising=False)
+    return calls
 
 
 class TestLoadPredictions:
@@ -170,6 +195,39 @@ class TestEvalI2d:
         assert strict.metadata["validity_mode"] == "strict"
         # the hypothesis still parses, so fingerprints are computed
         assert strict.skipped_invalid == 0
+        lenient = eval_i2d(preds)
+        for attr in ("maccs_fts", "rdk_fts", "morgan_fts"):
+            assert getattr(strict, attr) is not None
+            assert getattr(strict, attr) == getattr(lenient, attr)
+
+    def test_each_distinct_stripped_string_parsed_once(self, fixtures_dir,
+                                                       parsed):
+        preds = load_predictions(
+            fixtures_dir / "predictions_i2d_repeated.jsonl",
+            Task.INDICATION_TO_DRUG)
+        eval_i2d(preds)
+        # every reference in this file has a row whose hypothesis parses,
+        # so every non-empty string is graded exactly once
+        distinct = {text.strip() for row in preds.rows
+                    for text in (row.reference, row.hypothesis)} - {""}
+        assert sorted(parsed) == sorted(distinct)
+
+    def test_invalid_hypothesis_never_grades_its_reference(self, tmp_path,
+                                                           parsed):
+        preds = _i2d_file(tmp_path, [("CCN", "C1CC("), ("CCS", ""),
+                                     ("CCO", "CCO")])
+        report = eval_i2d(preds)
+        assert parsed == ["C1CC(", "CCO"]
+        assert report.skipped_invalid == 2
+
+    def test_padded_and_bare_strings_share_one_record(self, tmp_path, parsed):
+        preds = _i2d_file(tmp_path, [("CCO", " CCO "), (" CCO ", "CCO")])
+        report = eval_i2d(preds)
+        assert parsed == ["CCO"]
+        assert report.validity == 1.0
+        assert report.skipped_invalid == 0
+        assert (report.maccs_fts, report.rdk_fts, report.morgan_fts) == (
+            1.0, 1.0, 1.0)
 
     def test_fcd_requires_both_files(self, i2d_preds, tmp_path):
         path = tmp_path / "e.txt"
@@ -317,6 +375,16 @@ class TestRendering:
             report_from_json("not json")
         with pytest.raises(SchemaMismatch):
             report_from_json('{"task": "indication_to_drug"}')
+
+    def test_report_from_json_missing_score_raises_schema_mismatch(
+            self, i2d_preds, d2i_preds):
+        for report, columns in ((eval_i2d(i2d_preds), I2D_COLUMNS),
+                                (eval_d2i(d2i_preds), D2I_COLUMNS)):
+            for _, attr in columns:
+                payload = json.loads(render_report(report, "json"))
+                del payload["scores"][attr]
+                with pytest.raises(SchemaMismatch, match=attr):
+                    report_from_json(json.dumps(payload))
 
     def test_column_tables_cover_report_fields(self):
         d2i_attrs = {attr for _, attr in D2I_COLUMNS}
