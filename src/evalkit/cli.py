@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EvalkitError, OSError) as exc:
+    except (EvalkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .errors import (
     DegenerateSplit,
@@ -119,82 +120,93 @@ def _clean_row(raw_id: str, smiles: str, indication: str, source: str,
                       indication=indication, source=source)
 
 
-def _ingest_generic_jsonl(path: Path) -> tuple[list[DrugRecord], list[str]]:
-    records: list[DrugRecord] = []
-    dropped: list[str] = []
+def read_jsonl_objects(path: Path,
+                       text_keys: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
+
+    Each line must be a JSON object with a string or numeric ``id``, yielded
+    as a string, and a string under every key in ``text_keys``.  Any other
+    line raises :class:`SchemaMismatch` naming the file and line.
+    """
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            where = f"{path} line {lineno}"
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaMismatch(f"{path} line {lineno}: invalid JSON ({exc})") from exc
-            missing = [k for k in ("id", "smiles", "indication") if k not in payload]
-            if missing:
-                raise SchemaMismatch(
-                    f"{path} line {lineno}: missing keys {missing}")
-            source = payload.get("source", "other")
-            if source not in _SOURCES:
-                source = "other"
-            record = _clean_row(str(payload["id"]), str(payload["smiles"]),
-                                str(payload["indication"]), source,
-                                dropped, f"line {lineno}")
-            if record:
-                records.append(record)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise SchemaMismatch(f"{where}: invalid JSON ({exc})") from exc
+            if not isinstance(payload, dict):
+                raise SchemaMismatch(f"{where}: not a JSON object")
+            if not isinstance(payload.get("id"), (str, int, float)):
+                raise SchemaMismatch(f"{where}: 'id' missing or not a string or number")
+            bad = [k for k in text_keys if not isinstance(payload.get(k), str)]
+            if bad:
+                raise SchemaMismatch(f"{where}: keys {bad} missing or not strings")
+            payload["id"] = str(payload["id"])
+            yield lineno, payload
+
+
+def _ingest_generic_jsonl(path: Path) -> tuple[list[DrugRecord], list[str]]:
+    records: list[DrugRecord] = []
+    dropped: list[str] = []
+    for lineno, payload in read_jsonl_objects(path, ("smiles", "indication")):
+        source = payload.get("source")
+        record = _clean_row(payload["id"], payload["smiles"], payload["indication"],
+                            source if source in _SOURCES else "other",
+                            dropped, f"line {lineno}")
+        if record:
+            records.append(record)
     return records, dropped
 
 
-def _ingest_drugbank_csv(path: Path) -> tuple[list[DrugRecord], list[str]]:
-    expected = ["id", "name", "smiles", "indication"]
-    records: list[DrugRecord] = []
-    dropped: list[str] = []
+def _read_table_rows(path: Path, header: list[str],
+                     delimiter: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, row)`` for each non-empty data row of a
+    delimited file.  A header other than ``header``, or a row with another
+    number of columns, raises :class:`SchemaMismatch`."""
     with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != expected:
-            raise SchemaMismatch(
-                f"{path}: expected header {expected}, got {header}")
+        reader = csv.reader(handle, delimiter=delimiter)
+        found = next(reader, None)
+        if found != header:
+            raise SchemaMismatch(f"{path}: expected header {header}, got {found}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(expected):
+            if len(row) != len(header):
                 raise SchemaMismatch(
-                    f"{path} line {lineno}: expected {len(expected)} columns, "
+                    f"{path} line {lineno}: expected {len(header)} columns, "
                     f"got {len(row)}")
-            record = _clean_row(row[0], row[2], row[3], "drugbank",
-                                dropped, f"line {lineno}")
-            if record:
-                records.append(record)
+            yield lineno, row
+
+
+def _ingest_drugbank_csv(path: Path) -> tuple[list[DrugRecord], list[str]]:
+    records: list[DrugRecord] = []
+    dropped: list[str] = []
+    header = ["id", "name", "smiles", "indication"]
+    for lineno, row in _read_table_rows(path, header, ","):
+        record = _clean_row(row[0], row[2], row[3], "drugbank",
+                            dropped, f"line {lineno}")
+        if record:
+            records.append(record)
     return records, dropped
 
 
 def _ingest_chembl_tsv(path: Path) -> tuple[list[DrugRecord], list[str]]:
-    expected = ["chembl_id", "canonical_smiles", "mesh_heading"]
     dropped: list[str] = []
     merged: dict[str, tuple[str, list[str]]] = {}
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t")
-        header = next(reader, None)
-        if header != expected:
-            raise SchemaMismatch(
-                f"{path}: expected header {expected}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise SchemaMismatch(
-                    f"{path} line {lineno}: expected {len(expected)} columns, "
-                    f"got {len(row)}")
-            raw_id, smiles, heading = (f.strip() for f in row)
-            if not smiles or not heading:
-                missing = "canonical_smiles" if not smiles else "mesh_heading"
-                dropped.append(f"line {lineno}: empty {missing}")
-                continue
-            if raw_id in merged:
-                merged[raw_id][1].append(heading)
-            else:
-                merged[raw_id] = (smiles, [heading])
+    header = ["chembl_id", "canonical_smiles", "mesh_heading"]
+    for lineno, row in _read_table_rows(path, header, "\t"):
+        raw_id, smiles, heading = (f.strip() for f in row)
+        if not smiles or not heading:
+            missing = "canonical_smiles" if not smiles else "mesh_heading"
+            dropped.append(f"line {lineno}: empty {missing}")
+            continue
+        if raw_id in merged:
+            merged[raw_id][1].append(heading)
+        else:
+            merged[raw_id] = (smiles, [heading])
     records = [
         DrugRecord(id=raw_id, smiles=smiles, indication="; ".join(headings),
                    source="chembl")

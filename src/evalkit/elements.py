@@ -18,10 +18,9 @@ ELEMENTS: frozenset[str] = frozenset((
     "Rg", "Cn", "Nh", "Fl", "Mc", "Lv", "Ts", "Og",
 ))
 
-# Elements that may carry the aromatic flag at all, and the subset writable
-# as bare lowercase symbols outside brackets.
+# Elements that may carry the aromatic flag at all, and their lowercase
+# spellings inside brackets.
 AROMATIC_CAPABLE: frozenset[str] = frozenset({"B", "C", "N", "O", "P", "S", "Se", "As"})
-AROMATIC_ORGANIC: frozenset[str] = frozenset({"b", "c", "n", "o", "p", "s"})
 AROMATIC_BRACKET: frozenset[str] = frozenset({"b", "c", "n", "o", "p", "s", "se", "as"})
 
 # Allowed valences for organic-subset atoms, smallest first.  Used both for

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import InputError, SchemeMismatch
@@ -272,7 +273,7 @@ class KeySet:
     def __len__(self) -> int:
         return len(self.keys)
 
-    @property
+    @cached_property
     def digest(self) -> str:
         listing = "\n".join(f"{i}\t{k.text}" for i, k in enumerate(self.keys))
         return hashlib.sha256(listing.encode("utf-8")).hexdigest()[:16]

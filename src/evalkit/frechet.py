@@ -15,6 +15,7 @@ the final distance is clamped to zero as well.
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,7 +120,10 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, li
     path = Path(path)
     raw = path.read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise InputError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
     lines = raw.decode("utf-8").splitlines()
     if not lines or not lines[0].startswith("D="):
         raise InputError(f"{path}: first line must be 'D=<dim>'")

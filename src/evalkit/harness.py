@@ -24,10 +24,12 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import fingerprints as fp
+from .dataset import read_jsonl_objects
 from .errors import (
     DuplicateId,
     EmbeddingRowMismatch,
@@ -77,39 +79,23 @@ class PredictionFile:
 def load_predictions(path: str | Path, task: Task) -> PredictionFile:
     """Read a JSONL prediction file.
 
-    Every line needs ``id``, ``reference``, and ``hypothesis``; ids must be
-    unique and references non-empty.  Hypotheses may be empty strings (a
-    model can fail to produce output), and for the indication→drug task
-    they may be arbitrarily malformed SMILES; grading that is the point.
+    Every line is a JSON object with ``id``, ``reference``, and
+    ``hypothesis``, the last two strings; ids must be unique and references
+    non-empty.  Hypotheses may be empty (a model can fail to produce output),
+    and for the indication→drug task they may be arbitrarily malformed
+    SMILES; grading that is the point.
     """
     path = Path(path)
     rows: list[PredictionRow] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaMismatch(
-                    f"{path} line {lineno}: invalid JSON ({exc})") from exc
-            missing = [k for k in ("id", "reference", "hypothesis")
-                       if k not in payload]
-            if missing:
-                raise SchemaMismatch(
-                    f"{path} line {lineno}: missing keys {missing}")
-            row = PredictionRow(
-                id=str(payload["id"]),
-                reference=str(payload["reference"]),
-                hypothesis=str(payload["hypothesis"]),
-            )
-            if row.id in seen:
-                raise DuplicateId(f"{path} line {lineno}: duplicate id {row.id!r}")
-            if not row.reference.strip():
-                raise InputError(f"{path} line {lineno}: empty reference")
-            seen.add(row.id)
-            rows.append(row)
+    for lineno, payload in read_jsonl_objects(path, ("reference", "hypothesis")):
+        row = PredictionRow(payload["id"], payload["reference"], payload["hypothesis"])
+        if row.id in seen:
+            raise DuplicateId(f"{path} line {lineno}: duplicate id {row.id!r}")
+        if not row.reference.strip():
+            raise InputError(f"{path} line {lineno}: empty reference")
+        seen.add(row.id)
+        rows.append(row)
     if not rows:
         raise EmptySet(f"{path}: no prediction rows")
     return PredictionFile(rows=tuple(rows), task=task)
@@ -405,18 +391,36 @@ def render_report(report: D2IReport | I2DReport, format: str = "table") -> str:
 
 
 def report_from_json(text: str) -> D2IReport | I2DReport:
-    """Rebuild a report from its JSON rendering (used by the render command)."""
+    """Rebuild a report from its JSON rendering (used by the render command).
+
+    The report must be an object whose ``scores`` object holds a finite
+    number or null for every score column and whose ``metadata`` object
+    names the report's task; anything else raises :class:`SchemaMismatch`.
+    """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaMismatch(f"report is not valid JSON: {exc}") from exc
+    scores = payload.get("scores") if isinstance(payload, dict) else None
+    if not isinstance(scores, dict):
+        raise SchemaMismatch("report is not a JSON object with a 'scores' object")
     try:
         task = Task(payload["task"])
         report_type = (D2IReport if task is Task.DRUG_TO_INDICATION
                        else I2DReport)
-        scores = payload["scores"]
-        return report_type(**{
+        values = {
             f.name: scores[f.name] if "header" in f.metadata else payload[f.name]
-            for f in fields(report_type)})
+            for f in fields(report_type)}
     except (KeyError, ValueError) as exc:
         raise SchemaMismatch(f"report JSON missing fields: {exc}") from exc
+    # The magnitude test also rejects NaN, infinities and too large ints.
+    not_numbers = [attr for _, attr in _columns(report_type)
+                   if values[attr] is not None
+                   and not (type(values[attr]) in (int, float)
+                            and abs(values[attr]) <= sys.float_info.max)]
+    if not_numbers:
+        raise SchemaMismatch(f"report scores {not_numbers} are not finite numbers")
+    metadata = values["metadata"]
+    if not isinstance(metadata, dict) or metadata.get("task") != task.value:
+        raise SchemaMismatch("report 'metadata' is not an object naming its task")
+    return report_type(**values)

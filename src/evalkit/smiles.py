@@ -17,12 +17,11 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .elements import (
     AROMATIC_BRACKET,
     AROMATIC_CAPABLE,
-    AROMATIC_ORGANIC,
     DEFAULT_VALENCES,
     ELEMENTS,
 )
@@ -39,6 +38,7 @@ from .errors import (
     UnmatchedRingClosure,
     UnterminatedBracket,
 )
+from .tokenizer import TOKEN_RE
 
 
 class BondOrder(enum.Enum):
@@ -110,9 +110,6 @@ class Bond:
     def __post_init__(self) -> None:
         if self.from_idx == self.to_idx:
             raise ValueError("a bond cannot join an atom to itself")
-
-    def other(self, idx: int) -> int:
-        return self.to_idx if idx == self.from_idx else self.from_idx
 
 
 @dataclass(frozen=True)
@@ -282,13 +279,13 @@ class ValidityReport:
 
 
 class _Cursor:
-    """Character cursor over a SMILES string."""
+    """Character cursor over the inside of a bracket atom."""
 
     __slots__ = ("text", "pos")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int):
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -300,14 +297,21 @@ class _Cursor:
 
     def take_digits(self) -> str:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         return self.text[start:self.pos]
 
 
+@cache
+def _organic_atom(token: str) -> Atom:
+    """The atom a bare organic-subset token stands for; lowercase spellings
+    are aromatic.  Atoms are immutable, so every parse shares one per token."""
+    return Atom(element=token.capitalize(), aromatic=token.islower())
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.cur = _Cursor(text)
+        self.text = text
         self.atoms: list[Atom] = []
         self.bonds: list[Bond] = []
         self.bond_pairs: set[tuple[int, int]] = set()
@@ -369,8 +373,8 @@ class _Parser:
 
     # -- bracket atoms ---------------------------------------------------------
 
-    def _read_bracket_symbol(self) -> tuple[str, bool]:
-        cur = self.cur
+    @staticmethod
+    def _read_bracket_symbol(cur: _Cursor) -> tuple[str, bool]:
         ch = cur.peek()
         if ch.islower():
             two = cur.text[cur.pos:cur.pos + 2]
@@ -392,18 +396,16 @@ class _Parser:
             raise UnknownSymbol(f"unknown element symbol {ch!r} in bracket", cur.pos)
         raise UnknownSymbol(f"expected an element symbol, found {ch!r}", cur.pos)
 
-    def _parse_bracket_atom(self) -> Atom:
-        cur = self.cur
-        start = cur.pos
-        cur.take()  # consume '['
+    def _parse_bracket_atom(self, start: int) -> Atom:
+        """Read the bracket atom whose ``[`` is at ``start``; raises when no
+        ``]`` closes it."""
+        cur = _Cursor(self.text, start + 1)
         digits = cur.take_digits()
         isotope = int(digits) if digits else None
 
         if not cur.peek():
             raise UnterminatedBracket("bracket atom never closed", start)
-        element, aromatic = self._read_bracket_symbol()
-        if aromatic and element not in AROMATIC_CAPABLE:
-            raise UnknownSymbol(f"{element} cannot be aromatic", start)
+        element, aromatic = self._read_bracket_symbol(cur)
 
         chirality = None
         if cur.peek() == "@":
@@ -414,7 +416,7 @@ class _Parser:
             else:
                 chirality = Chirality.COUNTERCLOCKWISE
 
-        h_count = None
+        h_count = 0
         if cur.peek() == "H":
             cur.take()
             digits = cur.take_digits()
@@ -442,12 +444,11 @@ class _Parser:
                 raise UnterminatedBracket("bracket atom never closed", start)
             raise UnknownSymbol(
                 f"unexpected {cur.peek()!r} inside bracket atom", cur.pos)
-        cur.take()
         return Atom(
             element=element,
             aromatic=aromatic,
             formal_charge=charge,
-            explicit_h_count=h_count if h_count is not None else 0,
+            explicit_h_count=h_count,
             isotope=isotope,
             chirality=chirality,
             in_bracket=True,
@@ -456,43 +457,40 @@ class _Parser:
     # -- main loop -------------------------------------------------------------
 
     def parse(self) -> Molecule:
-        cur = self.cur
-        if not cur.text:
+        text = self.text
+        if not text:
             raise SmilesParseError("empty SMILES string")
-        while cur.peek():
-            offset = cur.pos
-            ch = cur.peek()
+        for match in TOKEN_RE.finditer(text):
+            kind = match.lastgroup
+            token = match.group()
+            offset = match.start()
 
-            if ch == "[":
-                self._add_atom(self._parse_bracket_atom(), offset)
-            elif ch.isdigit():
-                cur.take()
-                self._ring_closure(int(ch), offset)
-            elif ch == "%":
-                cur.take()
-                two = cur.text[cur.pos:cur.pos + 2]
-                if len(two) < 2 or not two.isdigit():
-                    raise UnknownSymbol("'%' ring closure needs two digits", offset)
-                cur.pos += 2
-                self._ring_closure(int(two), offset)
-            elif ch in _BOND_SYMBOLS:
-                cur.take()
+            if (kind == "single_char_atom" or kind == "aromatic_atom"
+                    or kind == "two_char_element"):
+                self._add_atom(_organic_atom(token), offset)
+            elif kind == "bracket_atom" or token == "[":
+                # A '[' that no ']' follows is lexically illegal; reading it
+                # as a bracket atom reports what is wrong inside it first.
+                self._add_atom(self._parse_bracket_atom(offset), offset)
+            elif kind == "ring_digit":
+                self._ring_closure(int(token), offset)
+            elif kind == "percent_ring":
+                self._ring_closure(int(token[1:]), offset)
+            elif kind == "bond":
                 if self.prev is None:
-                    raise LeadingBond(f"bond {ch!r} before any atom", offset)
+                    raise LeadingBond(f"bond {token!r} before any atom", offset)
                 if self.pending is not None:
                     raise DanglingBond(
                         "bond symbol followed by another bond symbol", offset)
-                self.pending = _BOND_SYMBOLS[ch]
+                self.pending = _BOND_SYMBOLS[token]
                 self.pending_offset = offset
-            elif ch == "(":
-                cur.take()
+            elif kind == "branch_open":
                 if self.prev is None:
                     raise UnbalancedParenthesis("branch opened before any atom", offset)
                 if self.pending is not None:
                     raise DanglingBond("bond symbol before a branch opening", offset)
                 self.branch_stack.append((self.prev, len(self.atoms), offset))
-            elif ch == ")":
-                cur.take()
+            elif kind == "branch_close":
                 if self.pending is not None:
                     raise DanglingBond("bond symbol at the end of a branch", offset)
                 if not self.branch_stack:
@@ -501,18 +499,16 @@ class _Parser:
                 if len(self.atoms) == count_at_open:
                     raise EmptyBranch("branch contains no atoms", offset)
                 self.prev = attach
-            elif ch == ".":
-                cur.take()
+            elif kind == "dot":
                 if self.pending is not None:
                     raise DanglingBond("bond symbol before a dot separator", offset)
                 if self.prev is None:
                     raise EmptyComponent("dot separator with no atoms before it", offset)
                 self.prev = None
+            elif token == "%":
+                raise UnknownSymbol("'%' ring closure needs two digits", offset)
             else:
-                atom = self._read_organic_atom()
-                if atom is None:
-                    raise UnknownSymbol(f"unexpected character {ch!r}", offset)
-                self._add_atom(atom, offset)
+                raise UnknownSymbol(f"unexpected character {token!r}", offset)
 
         if self.pending is not None:
             raise DanglingBond(
@@ -524,23 +520,8 @@ class _Parser:
             number, (_, _, offset) = min(self.open_rings.items(), key=lambda kv: kv[1][2])
             raise UnmatchedRingClosure(f"ring bond {number} never closed", offset)
         if self.prev is None and self.atoms:
-            raise EmptyComponent("dot separator at end of input", len(cur.text) - 1)
-        return Molecule(tuple(self.atoms), tuple(self.bonds), cur.text)
-
-    def _read_organic_atom(self) -> Atom | None:
-        cur = self.cur
-        two = cur.text[cur.pos:cur.pos + 2]
-        if two in ("Cl", "Br"):
-            cur.pos += 2
-            return Atom(element=two)
-        ch = cur.peek()
-        if ch in "BCNOPSFI":
-            cur.take()
-            return Atom(element=ch)
-        if ch in AROMATIC_ORGANIC:
-            cur.take()
-            return Atom(element=ch.upper(), aromatic=True)
-        return None
+            raise EmptyComponent("dot separator at end of input", len(text) - 1)
+        return Molecule(tuple(self.atoms), tuple(self.bonds), text)
 
 
 def parse_smiles(text: str) -> Molecule:

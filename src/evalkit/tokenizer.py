@@ -9,6 +9,11 @@ molecule.  The split is maximal-munch with the precedence
 
 so ``Cl`` is never read as carbon plus an illegal ``l``.  Concatenating the
 tokens always reproduces the input exactly; nothing is dropped or rewritten.
+
+:data:`TOKEN_RE` is the package's one lexical grammar for SMILES: the
+parser in :mod:`evalkit.smiles` reads the same matches, so the two always
+agree on where each unit ends.  Ring-closure digits are ASCII ``0``-``9``;
+any other digit character is illegal.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -53,18 +59,23 @@ ATOM_KINDS: frozenset[TokenKind] = frozenset({
     TokenKind.AROMATIC_ATOM,
 })
 
-_TOKEN_RE = re.compile(
+# The final ``illegal`` alternative matches any one character the others
+# miss, so the matches cover the whole string and ``finditer`` never skips
+# input silently.
+TOKEN_RE = re.compile(
     r"(?P<bracket_atom>\[[^\]]*\])"
-    r"|(?P<percent_ring>%\d{2})"
+    r"|(?P<percent_ring>%[0-9]{2})"
     r"|(?P<two_char_element>Cl|Br)"
     r"|(?P<aromatic_atom>[bcnops])"
     r"|(?P<single_char_atom>[BCNOPSFI])"
     r"|(?P<bond>[-=#$:/\\])"
-    r"|(?P<ring_digit>\d)"
+    r"|(?P<ring_digit>[0-9])"
     r"|(?P<branch_open>\()"
     r"|(?P<branch_close>\))"
     r"|(?P<dot>\.)"
     r"|(?P<special>\*)"
+    r"|(?P<illegal>.)",
+    re.DOTALL,
 )
 
 
@@ -104,22 +115,14 @@ def tokenize(text: str) -> TokenSequence:
     each carrying the character offset.
     """
     tokens: list[Token] = []
-    pos = 0
-    for match in _TOKEN_RE.finditer(text):
-        if match.start() != pos:
-            _reject(text, pos)
+    for match in TOKEN_RE.finditer(text):
+        if match.lastgroup == "illegal":
+            pos, ch = match.start(), match.group()
+            if ch == "[":
+                raise UnterminatedBracket("bracket atom never closed", pos)
+            raise IllegalCharacter(f"character {ch!r} is not legal in SMILES", pos)
         tokens.append(Token(match.group(), TokenKind(match.lastgroup)))
-        pos = match.end()
-    if pos != len(text):
-        _reject(text, pos)
     return TokenSequence(tuple(tokens), text)
-
-
-def _reject(text: str, pos: int) -> None:
-    ch = text[pos]
-    if ch == "[":
-        raise UnterminatedBracket("bracket atom never closed", pos)
-    raise IllegalCharacter(f"character {ch!r} is not legal in SMILES", pos)
 
 
 def detokenize(seq: TokenSequence) -> str:
@@ -148,14 +151,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
+    @cached_property
     def _ids(self) -> dict[str, int]:
-        # Built lazily and cached on the instance despite frozen=True.
-        cached = self.__dict__.get("_ids_cache")
-        if cached is None:
-            cached = {text: i for i, text in enumerate(self.tokens)}
-            object.__setattr__(self, "_ids_cache", cached)
-        return cached
+        return {text: i for i, text in enumerate(self.tokens)}
 
     @property
     def unk_id(self) -> int | None:

@@ -268,6 +268,36 @@ class TestEvalCommands:
         assert "error:" in err
 
 
+class TestHostileFiles:
+    """Malformed input files exit 1 with a message, never a traceback."""
+
+    GOOD = b'{"id": "a", "reference": "CCO", "hypothesis": "CCO", "smiles": "CCO", "indication": "x"}\n'
+    BAD_LINES = {
+        "non_object": b"5\n",
+        "null_text": b'{"id": "b", "reference": null, "hypothesis": null, "smiles": null, "indication": null}\n',
+        "undecodable": b'{"id": "b", "reference": "C\xff", "hypothesis": "C", "smiles": "C\xff", "indication": "x"}\n',
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_LINES))
+    @pytest.mark.parametrize("command", [
+        ("eval-i2d",), ("eval-d2i",), ("ingest", "--layout", "generic_jsonl"),
+    ])
+    def test_bad_line_exits_one(self, capsys, tmp_path, command, bad):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(self.GOOD + self.BAD_LINES[bad])
+        code, _, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["[]", '{"task": "indication_to_drug", "scores": 5}'])
+    def test_render_non_report_json_exits_one(self, capsys, tmp_path, text):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "render", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+
+
 class TestArgumentErrors:
     def test_unknown_command_exits_two_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:

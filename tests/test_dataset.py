@@ -84,6 +84,17 @@ class TestGenericJsonl:
         with pytest.raises(DuplicateId):
             ingest(path, "generic_jsonl")
 
+    @pytest.mark.parametrize("line", [
+        '5',
+        '{"id": "a", "smiles": null, "indication": "x"}',
+        '{"id": "a", "smiles": "C", "indication": ["x"]}',
+    ])
+    def test_non_object_or_non_string_line_raises_with_line(self, tmp_path, line):
+        path = tmp_path / "p.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(SchemaMismatch, match="line 1"):
+            ingest(path, "generic_jsonl")
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text('\n{"id": "a", "smiles": "C", "indication": "x"}\n\n')

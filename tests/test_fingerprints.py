@@ -160,6 +160,8 @@ class TestKeys:
         fp = key_fingerprint(parse_smiles("c1ccccc1"), keyset=keyset)
         assert fp.width == 5
         assert dict(fp.params)["keyset"] == keyset.digest
+        # hashed once per key set, not once per fingerprint
+        assert vars(keyset)["digest"] == keyset.digest
 
     def test_keyset_load_rejects_sparse_ids(self, tmp_path):
         path = tmp_path / "bad.tsv"

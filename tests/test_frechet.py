@@ -170,6 +170,18 @@ class TestVectorFiles:
         emb = load_embeddings(path)
         assert emb.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_is_input_error(self, tmp_path, damage):
+        data = gzip.compress(b"D=2\n1 2\n3 4\n" * 50)
+        if damage == "truncated":
+            data = data[:len(data) // 2]
+        else:
+            data = data[:12] + bytes(b ^ 0xFF for b in data[12:20]) + data[20:]
+        path = tmp_path / "e.txt.gz"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="gzip"):
+            read_vector_rows(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("1 2\n3 4\n")

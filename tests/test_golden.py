@@ -1,9 +1,12 @@
-"""Golden reports: the CLI's report bytes must not drift across refactors.
+"""Golden outputs: the CLI's output bytes must not drift across refactors.
 
 Each file under ``tests/fixtures/golden/`` is the stdout of one CLI call
-on a committed fixture.  The test renders every call again and compares
-byte for byte.  After a change that is meant to alter report bytes,
-rewrite the files with::
+on a committed fixture, except for ``tokenize``, which stops at the first
+line it cannot split: its golden file holds one call per fixture line,
+with that call's exit code and stdout or stderr.  The ``validate`` and
+``tokenize`` files pin every parse failure message and offset.  The test
+renders every call again and compares byte for byte.  After a change that
+is meant to alter these bytes, rewrite the files with::
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -11,7 +14,8 @@ rewrite the files with::
 from __future__ import annotations
 
 import io
-from contextlib import redirect_stdout
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -40,16 +44,36 @@ GOLDEN = {
 }
 GOLDEN["stats_pairs_small.json"] = ("stats", "pairs_small.jsonl",
                                     "--format", "json")
+GOLDEN["validate_smiles_grammar.txt"] = ("validate", "smiles_grammar.txt")
+GOLDEN["validate_smiles_grammar_strict.txt"] = (
+    "validate", "smiles_grammar.txt", "--strict-validity")
+GOLDEN["tokenize_smiles_grammar.txt"] = ("tokenize", "smiles_grammar.txt")
+
+
+def _run(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved_stdin
+    return code, out.getvalue(), err.getvalue()
 
 
 def render(args: tuple[str, ...]) -> str:
     command, fixture, *flags = args
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli.main([command, str(FIXTURES / fixture), *flags])
+    if command == "tokenize":
+        # One call per line, read from stdin, so a line that fails does
+        # not hide the lines after it.
+        return "".join(
+            f"{line}\t{code}\t{out.strip()}{err.strip()}\n"
+            for line in (FIXTURES / fixture).read_text("utf-8").splitlines()
+            for code, out, err in [_run([command, *flags], stdin=line)])
+    code, out, _ = _run([command, str(FIXTURES / fixture), *flags])
     if code != 0:
         raise RuntimeError(f"evalkit {' '.join(args)} exited {code}")
-    return out.getvalue()
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -115,6 +115,25 @@ class TestLoadPredictions:
         with pytest.raises(InputError):
             load_predictions(path, Task.DRUG_TO_INDICATION)
 
+    @pytest.mark.parametrize("line", [
+        '5',
+        '["a", "x", "y"]',
+        '{"id": "a", "reference": "x", "hypothesis": null}',
+        '{"id": "a", "reference": 3, "hypothesis": "y"}',
+        '{"id": null, "reference": "x", "hypothesis": "y"}',
+    ])
+    def test_non_object_or_non_string_line_raises_with_line(self, tmp_path, line):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"id": "a", "reference": "x", "hypothesis": "y"}\n'
+                        + line + "\n")
+        with pytest.raises(SchemaMismatch, match="line 2"):
+            load_predictions(path, Task.DRUG_TO_INDICATION)
+
+    def test_numeric_id_becomes_string(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"id": 7, "reference": "x", "hypothesis": "y"}\n')
+        assert load_predictions(path, Task.DRUG_TO_INDICATION).rows[0].id == "7"
+
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text("\n")
@@ -370,11 +389,26 @@ class TestRendering:
         with pytest.raises(InputError):
             render_report(eval_d2i(d2i_preds), "yaml")
 
-    def test_report_from_json_rejects_garbage(self):
-        with pytest.raises(SchemaMismatch):
-            report_from_json("not json")
-        with pytest.raises(SchemaMismatch):
-            report_from_json('{"task": "indication_to_drug"}')
+    def test_report_from_json_rejects_garbage(self, i2d_preds):
+        for text in ("not json", '{"task": "indication_to_drug"}',
+                     "[]", "5", '"report"', "null"):
+            with pytest.raises(SchemaMismatch):
+                report_from_json(text)
+        good = json.loads(render_report(eval_i2d(i2d_preds), "json"))
+        damaged = [
+            ("scores", []),
+            ("scores", dict(good["scores"], bleu="0.5")),
+            ("scores", dict(good["scores"], exact=True)),
+            ("scores", dict(good["scores"], validity=[1])),
+            ("scores", dict(good["scores"], bleu=float("inf"))),
+            ("scores", dict(good["scores"], bleu=10 ** 400)),
+            ("metadata", []),
+            ("metadata", {}),
+        ]
+        for key, value in damaged:
+            with pytest.raises(SchemaMismatch):
+                report_from_json(json.dumps(dict(good, **{key: value})))
+        assert report_from_json(json.dumps(good)) == eval_i2d(i2d_preds)
 
     def test_report_from_json_missing_score_raises_schema_mismatch(
             self, i2d_preds, d2i_preds):

@@ -334,10 +334,18 @@ class TestGeneratedGraphs:
                     == molecular_formula(parse_smiles(text_b)))
 
 
-@given(st.text(alphabet="CNOPSFIcnos123456789()=#[]+-.%@Hl\\/Br", max_size=40))
+@given(st.one_of(
+    st.text(alphabet="CNOPSFIcnos123456789()=#[]+-.%@Hl\\/Br", max_size=40),
+    st.text(),
+    # '²' and '³' are digits to str.isdigit, '٣' and '١' to int() and \d.
+    st.text(alphabet="Cc1%[]+-()²³٣١", max_size=20),
+))
 @settings(max_examples=300, deadline=None)
 def test_parser_never_crashes_unexpectedly(text):
-    """Any input either parses or raises a SmilesParseError; nothing else."""
+    """Any input either parses or raises a SmilesParseError; nothing else.
+    validate never raises at all."""
+    for strict in (False, True):
+        validate(text, strict=strict)
     try:
         mol = parse_smiles(text)
     except SmilesParseError:
@@ -347,6 +355,23 @@ def test_parser_never_crashes_unexpectedly(text):
         assert 0 <= bond.from_idx < len(mol.atoms)
         assert 0 <= bond.to_idx < len(mol.atoms)
         assert bond.from_idx != bond.to_idx
+
+
+class TestNonAsciiDigits:
+    """Ring-closure, isotope and charge digits are ASCII; any other digit
+    character is an unknown symbol at its own offset."""
+
+    @pytest.mark.parametrize("text,offset", [
+        ("C²", 1), ("[²C]", 1), ("[C+²]", 3), ("C%²³", 1), ("C٣CC٣", 1),
+    ])
+    def test_rejected_without_crashing(self, text, offset):
+        report = validate(text)
+        assert report.verdict is False
+        assert not report.parseable
+        assert f"offset {offset}" in report.failure_detail
+        with pytest.raises(UnknownSymbol) as info:
+            parse_smiles(text)
+        assert info.value.offset == offset
 
 
 @given(st.sampled_from([

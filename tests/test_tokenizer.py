@@ -118,6 +118,11 @@ class TestTokenizeErrors:
         with pytest.raises(IllegalCharacter):
             tokenize("C C")
 
+    def test_non_ascii_ring_digit_is_illegal(self):
+        with pytest.raises(IllegalCharacter) as info:
+            tokenize("C٣CC٣")
+        assert info.value.offset == 1
+
     def test_empty_is_fine_and_empty(self):
         assert len(tokenize("")) == 0
 
