@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 from . import dataset as ds
 from . import fingerprints as fp
 from . import harness
-from .errors import EvalkitError, InputError, NumericError
+from .errors import EvalkitError, InputError, NumericError, read_utf8
 from .frechet import fcd_from_files
 from .smiles import parse_smiles, validate
 from .tokenizer import tokenize
@@ -23,9 +22,12 @@ from .tokenizer import tokenize
 
 def _read_lines(path: str | None) -> list[str]:
     if path is None or path == "-":
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"standard input: not UTF-8 text ({exc})") from exc
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_utf8(path)
     return [line for line in (l.strip() for l in text.splitlines()) if line]
 
 
@@ -145,7 +147,7 @@ def _cmd_eval_i2d(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    text = Path(args.report).read_text(encoding="utf-8")
+    text = read_utf8(args.report)
     report = harness.report_from_json(text)
     sys.stdout.write(harness.render_report(report, args.format))
     return 0
@@ -244,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EvalkitError, OSError, UnicodeDecodeError) as exc:
+    except (EvalkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,7 @@ from .errors import (
     EmptySet,
     InputError,
     SchemaMismatch,
+    utf8_lines,
 )
 from .rng import Xoshiro256StarStar, round_half_up
 
@@ -128,24 +129,23 @@ def read_jsonl_objects(path: Path,
     as a string, and a string under every key in ``text_keys``.  Any other
     line raises :class:`SchemaMismatch` naming the file and line.
     """
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                payload = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise SchemaMismatch(f"{where}: invalid JSON ({exc})") from exc
-            if not isinstance(payload, dict):
-                raise SchemaMismatch(f"{where}: not a JSON object")
-            if not isinstance(payload.get("id"), (str, int, float)):
-                raise SchemaMismatch(f"{where}: 'id' missing or not a string or number")
-            bad = [k for k in text_keys if not isinstance(payload.get(k), str)]
-            if bad:
-                raise SchemaMismatch(f"{where}: keys {bad} missing or not strings")
-            payload["id"] = str(payload["id"])
-            yield lineno, payload
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        if not line.strip():
+            continue
+        where = f"{path} line {lineno}"
+        try:
+            payload = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise SchemaMismatch(f"{where}: invalid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise SchemaMismatch(f"{where}: not a JSON object")
+        if not isinstance(payload.get("id"), (str, int, float)):
+            raise SchemaMismatch(f"{where}: 'id' missing or not a string or number")
+        bad = [k for k in text_keys if not isinstance(payload.get(k), str)]
+        if bad:
+            raise SchemaMismatch(f"{where}: keys {bad} missing or not strings")
+        payload["id"] = str(payload["id"])
+        yield lineno, payload
 
 
 def _ingest_generic_jsonl(path: Path) -> tuple[list[DrugRecord], list[str]]:
@@ -166,19 +166,18 @@ def _read_table_rows(path: Path, header: list[str],
     """Yield ``(line number, row)`` for each non-empty data row of a
     delimited file.  A header other than ``header``, or a row with another
     number of columns, raises :class:`SchemaMismatch`."""
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        found = next(reader, None)
-        if found != header:
-            raise SchemaMismatch(f"{path}: expected header {header}, got {found}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaMismatch(
-                    f"{path} line {lineno}: expected {len(header)} columns, "
-                    f"got {len(row)}")
-            yield lineno, row
+    reader = csv.reader(utf8_lines(path, newline=""), delimiter=delimiter)
+    found = next(reader, None)
+    if found != header:
+        raise SchemaMismatch(f"{path}: expected header {header}, got {found}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise SchemaMismatch(
+                f"{path} line {lineno}: expected {len(header)} columns, "
+                f"got {len(row)}")
+        yield lineno, row
 
 
 def _ingest_drugbank_csv(path: Path) -> tuple[list[DrugRecord], list[str]]:

@@ -5,9 +5,16 @@ user can fix (bad files, bad SMILES handed to an operation that requires
 parseable input, mismatched schemes), and :class:`NumericError` covers
 internal numerical failures.  The command line maps the former to exit code 1
 and the latter to exit code 2.
+
+The toolkit reads every user text file through :func:`read_utf8` or
+:func:`utf8_lines`, so that bytes which are not UTF-8 raise an
+:class:`InputError` naming the file.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from pathlib import Path
 
 
 class EvalkitError(Exception):
@@ -140,3 +147,34 @@ class TaskMismatch(InputError):
 
 class EmbeddingRowMismatch(InputError):
     """An embedding file's row count disagrees with the prediction file."""
+
+
+class UndecodableFile(InputError):
+    """A text file holds bytes that are not valid UTF-8."""
+
+
+def read_utf8(path: str | Path, data: bytes | None = None) -> str:
+    """The UTF-8 text of the file at ``path``, or of ``data`` when given
+    (its bytes after decompression, say), with line endings as they are.
+
+    Bytes that do not decode raise :class:`UndecodableFile` naming ``path``.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableFile(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def utf8_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
+    """The lines of ``path``, read one at a time as from ``open(path,
+    encoding="utf-8", newline=newline)``.
+
+    Bytes that do not decode raise :class:`UndecodableFile` naming ``path``.
+    """
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError as exc:
+            raise UndecodableFile(f"{path}: not UTF-8 text ({exc})") from exc

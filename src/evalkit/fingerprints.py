@@ -9,9 +9,10 @@ Three schemes, all bit-exact across platforms because every hash is FNV-1a
   sorted (bond-order code, neighbour invariant) pairs.  Every invariant
   produced at every radius sets bit ``invariant mod width``.
 * ``path`` — all simple linear paths of 1 to ``max_path_bonds`` bonds
-  (bonds and atoms both distinct within a path).  A path's descriptor is the
-  lexicographically smaller of its forward and reverse readings, so the two
-  traversal directions hash identically.
+  (bonds and atoms both distinct within a path).  Each undirected path is
+  enumerated once, and its descriptor is the lexicographically smaller of
+  its forward and reverse readings, built up entry by entry as the search
+  extends the path.
 * ``keys`` — a fixed list of named structural predicates; bit *k* is key
   *k*'s truth value.  Key sets are loadable from a text file.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .errors import InputError, SchemeMismatch
+from .errors import InputError, SchemeMismatch, read_utf8
 from .smiles import BondOrder, Molecule
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -37,7 +38,11 @@ _MASK64 = (1 << 64) - 1
 
 def fnv1a64(data: bytes) -> int:
     """The 64-bit FNV-1a hash of ``data``."""
-    value = FNV_OFFSET
+    return _fnv1a64_extend(FNV_OFFSET, data)
+
+
+def _fnv1a64_extend(value: int, data: bytes) -> int:
+    """FNV-1a state ``value`` after hashing ``data`` onto it."""
     for byte in data:
         value ^= byte
         value = (value * FNV_PRIME) & _MASK64
@@ -126,56 +131,90 @@ def morgan_fingerprint(mol: Molecule, radius: int = 2, width: int = 2048) -> Fin
                        (("radius", radius), ("width", width)))
 
 
-def _path_descriptor(mol: Molecule, atom_path: list[int], bond_path: list) -> tuple:
-    """Canonical descriptor of one path: entries of (element, aromatic flag,
-    following-bond code), direction chosen as the lexicographic minimum."""
-    forward = []
-    for i, atom_idx in enumerate(atom_path):
-        atom = mol.atoms[atom_idx]
-        bond_code = bond_path[i].order.value if i < len(bond_path) else 0
-        forward.append((atom.element, int(atom.aromatic), bond_code))
-    backward = []
-    for i in range(len(atom_path) - 1, -1, -1):
-        atom = mol.atoms[atom_path[i]]
-        bond_code = bond_path[i - 1].order.value if i > 0 else 0
-        backward.append((atom.element, int(atom.aromatic), bond_code))
-    return min(tuple(forward), tuple(backward))
-
-
 def enumerate_path_descriptors(mol: Molecule, max_path_bonds: int = 7) -> set[tuple]:
     """Canonical descriptors of every simple path of 1..max_path_bonds bonds.
 
-    Paths repeat neither bonds nor atoms; each undirected path contributes
-    one descriptor regardless of direction.
+    Paths repeat neither bonds nor atoms.  A descriptor lists the path's
+    atoms as (element, aromatic flag, following-bond code) entries, the last
+    with bond code 0; of the two reading directions the lexicographically
+    smaller one is kept.  Each undirected path is recorded once, from its
+    lower-numbered end atom.
     """
+    if max_path_bonds < 1:
+        return set()
+    atoms = mol.atoms
+    # One shared tuple per distinct entry, so equal entries compare by
+    # identity when two readings are ordered.
+    entries: dict[tuple, tuple] = {}
+    ends = [entries.setdefault(key, key)
+            for key in ((a.element, int(a.aromatic), 0) for a in atoms)]
+    # Per atom, per neighbour: (neighbour, its bit, this atom's entry and
+    # the neighbour's entry, each followed by the bond between them).
+    steps = []
+    for idx, atom in enumerate(atoms):
+        row = []
+        for nbr, bond in mol.neighbors[idx]:
+            code = bond.order.value
+            other = atoms[nbr]
+            here = (atom.element, int(atom.aromatic), code)
+            there = (other.element, int(other.aromatic), code)
+            row.append((nbr, 1 << nbr, entries.setdefault(here, here),
+                        entries.setdefault(there, there)))
+        steps.append(row)
+
     found: set[tuple] = set()
-    for start in range(len(mol.atoms)):
-        stack = [(start, [start], [])]
+    add = found.add
+    for start in range(len(atoms)):
+        # (end atom, atoms on the path as bits, forward reading without
+        # its last entry, backward reading)
+        stack = [(start, 1 << start, (), (ends[start],))]
         while stack:
-            node, atom_path, bond_path = stack.pop()
-            if bond_path:
-                found.add(_path_descriptor(mol, atom_path, bond_path))
-            if len(bond_path) == max_path_bonds:
-                continue
-            for nbr, bond in mol.neighbors[node]:
-                if nbr in atom_path:
+            node, on_path, head, backward = stack.pop()
+            extend = len(backward) < max_path_bonds
+            for nbr, bit, here, there in steps[node]:
+                if on_path & bit:
                     continue
-                stack.append((nbr, atom_path + [nbr], bond_path + [bond]))
+                forward_head = head + (here,)
+                reverse = (there,) + backward
+                if nbr > start:
+                    forward = forward_head + (ends[nbr],)
+                    add(forward if forward <= reverse else reverse)
+                if extend:
+                    stack.append((nbr, on_path | bit, forward_head, reverse))
     return found
 
 
-def _descriptor_bytes(descriptor: tuple) -> bytes:
-    return "|".join(f"{e},{a},{b}" for e, a, b in descriptor).encode("ascii")
+def _entry_bytes(entry: tuple) -> bytes:
+    element, aromatic, bond_code = entry
+    return f"{element},{aromatic},{bond_code}".encode("ascii")
 
 
 def path_fingerprint(mol: Molecule, max_path_bonds: int = 7, width: int = 2048) -> Fingerprint:
-    """Linear-path fingerprint of ``mol``."""
+    """Linear-path fingerprint of ``mol``.
+
+    Each descriptor sets bit ``h mod width``, where ``h`` is the FNV-1a
+    hash of its entries written ``e,a,b`` and joined by ``|``.  Descriptors
+    share prefixes, so the hash runs one entry at a time and each
+    (hash so far, next entry) step is computed once per call.
+    """
     _require_width(width)
     if max_path_bonds < 1:
         raise InputError("max_path_bonds must be at least 1")
+    first: dict[tuple, int] = {}
+    after: dict[tuple[int, tuple], int] = {}
     bits = 0
     for descriptor in enumerate_path_descriptors(mol, max_path_bonds):
-        bits |= 1 << (fnv1a64(_descriptor_bytes(descriptor)) % width)
+        head = descriptor[0]
+        value = first.get(head)
+        if value is None:
+            value = first[head] = fnv1a64(_entry_bytes(head))
+        for entry in descriptor[1:]:
+            key = (value, entry)
+            value = after.get(key)
+            if value is None:
+                value = after[key] = _fnv1a64_extend(
+                    key[0], b"|" + _entry_bytes(entry))
+        bits |= 1 << (value % width)
     return Fingerprint(bits, width, "path",
                        (("max_path_bonds", max_path_bonds), ("width", width)))
 
@@ -283,7 +322,7 @@ class KeySet:
         """Read ``<id><TAB><descriptor>`` lines; ids must count up from 0."""
         keys = []
         for lineno, line in enumerate(
-                Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+                read_utf8(path).splitlines(), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             fields = line.split("\t")

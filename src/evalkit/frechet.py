@@ -27,6 +27,7 @@ from .errors import (
     InputError,
     NonFiniteInput,
     TooFewSamples,
+    read_utf8,
 )
 
 
@@ -124,7 +125,7 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, li
             raw = gzip.decompress(raw)
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise InputError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
-    lines = raw.decode("utf-8").splitlines()
+    lines = read_utf8(path, raw).splitlines()
     if not lines or not lines[0].startswith("D="):
         raise InputError(f"{path}: first line must be 'D=<dim>'")
     try:

@@ -35,6 +35,7 @@ from .errors import (
     EmbeddingRowMismatch,
     EmptySet,
     InputError,
+    NonFiniteInput,
     SchemaMismatch,
     TaskMismatch,
 )
@@ -147,14 +148,18 @@ def _require_task(preds: PredictionFile, expected: Task) -> None:
 def _mean_paired_cosine(path: str | Path, n_rows: int) -> float:
     """Mean cosine similarity over a paired-embedding file.
 
-    A zero vector has no direction; its pair contributes 0.
+    A zero vector has no direction; its pair contributes 0.  A NaN or
+    infinite value raises :class:`NonFiniteInput`, as it does for FCD.
     """
     dim, rows = read_vector_rows(path, row_multiplier=2)
     if len(rows) != n_rows:
         raise EmbeddingRowMismatch(
             f"{path}: {len(rows)} embedding rows for {n_rows} predictions")
     total = 0.0
-    for row in rows:
+    for number, row in enumerate(rows, start=1):
+        if not all(map(math.isfinite, row)):
+            raise NonFiniteInput(
+                f"{path}: embedding row {number} holds NaN or infinite values")
         ref, hyp = row[:dim], row[dim:]
         norm_r = math.sqrt(sum(x * x for x in ref))
         norm_h = math.sqrt(sum(x * x for x in hyp))

@@ -193,45 +193,49 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
         if token in match_quota:
             ref_positions.setdefault(token, []).append(pos)
 
-    hyp_remaining = Counter(
-        token for token in hyp if token in match_quota)
+    # later[pos]: occurrences of hyp[pos] after pos.  A token's quota only
+    # shrinks, so while it is open every earlier occurrence was visited
+    # with it open, and later[pos] is what remains to fill it.
+    later = [0] * len(hyp)
+    seen: Counter = Counter()
+    for pos in range(len(hyp) - 1, -1, -1):
+        later[pos] = seen[hyp[pos]]
+        seen[hyp[pos]] += 1
 
     best = math.inf
     budget = _METEOR_SEARCH_BUDGET
-
-    def search(pos: int, quota: dict, used: frozenset, pairs: list) -> None:
-        nonlocal best, budget
+    # Depth-first with an explicit stack, so a hypothesis of any length
+    # fits.  A frame is a node: (hyp position, quota left, ref positions
+    # used, pairs so far).  Children are pushed in reverse visiting order.
+    stack = [(0, dict(match_quota), frozenset(), [])]
+    while stack:
         if budget <= 0 and best < math.inf:
-            return
+            break
         budget -= 1
+        pos, quota, used, pairs = stack.pop()
         if not quota:
             best = min(best, _chunk_count(pairs))
-            return
+            continue
         if pos >= len(hyp):
-            return
+            continue
         token = hyp[pos]
         left = quota.get(token, 0)
-        if left:
-            hyp_remaining[token] -= 1
-            for ref_pos in ref_positions[token]:
-                if ref_pos in used:
-                    continue
-                next_quota = dict(quota)
-                if left == 1:
-                    del next_quota[token]
-                else:
-                    next_quota[token] = left - 1
-                search(pos + 1, next_quota, used | {ref_pos},
-                       pairs + [(pos, ref_pos)])
-            # Skipping this occurrence is allowed only if enough later
-            # occurrences remain to satisfy the quota.
-            if hyp_remaining[token] >= left:
-                search(pos + 1, quota, used, pairs)
-            hyp_remaining[token] += 1
-        else:
-            search(pos + 1, quota, used, pairs)
-
-    search(0, dict(match_quota), frozenset(), [])
+        # Skipping an occurrence is allowed only if enough later
+        # occurrences remain to satisfy the quota.
+        if later[pos] >= left:
+            stack.append((pos + 1, quota, used, pairs))
+        if not left:
+            continue
+        for ref_pos in reversed(ref_positions[token]):
+            if ref_pos in used:
+                continue
+            next_quota = dict(quota)
+            if left == 1:
+                del next_quota[token]
+            else:
+                next_quota[token] = left - 1
+            stack.append((pos + 1, next_quota, used | {ref_pos},
+                          pairs + [(pos, ref_pos)]))
     return int(best)
 
 
@@ -270,25 +274,41 @@ def meteor(corpus: CorpusPair) -> float:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Character-level edit distance (insert, delete, substitute all cost 1)."""
+    """Character-level edit distance (insert, delete, substitute all cost 1).
+
+    Bit-parallel (Myers 1999; Hyyrö 2003), with the shorter string as the
+    pattern and one Python int, of any width, per bit vector.  Bit i of
+    ``vp``/``vn`` is set when row i of the current edit-table column is one
+    more/one less than the row above it; ``hp``/``hn`` hold the same
+    differences against the previous column.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            current.append(min(
-                previous[j] + 1,        # delete from a
-                current[j - 1] + 1,     # insert into a
-                previous[j - 1] + cost  # substitute
-            ))
-        previous = current
-    return previous[-1]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    mask = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    vp, vn = mask, 0
+    distance = len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = (vn | ~(xh | vp)) & mask
+        hn = vp & xh
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = hp << 1 | 1
+        vp = (hn << 1 | ~(xv | hp)) & mask
+        vn = hp & xv
+    return distance
 
 
 def exact_match(references: Sequence[str], hypotheses: Sequence[str]) -> float:

@@ -32,6 +32,7 @@ from .errors import (
     InputError,
     SmilesParseError,
     UnterminatedBracket,
+    read_utf8,
 )
 
 DEFAULT_SPECIALS: tuple[str, ...] = ("<pad>", "<unk>", "<s>", "</s>", "<mask>")
@@ -188,7 +189,7 @@ class Vocabulary:
         format itself does not mark which entries are special.
         """
         specials = tuple(specials)
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_utf8(path).splitlines()
         if tuple(lines[:len(specials)]) != specials:
             raise InputError(
                 f"vocabulary file {path} does not begin with specials {specials}")

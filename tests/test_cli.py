@@ -289,6 +289,49 @@ class TestHostileFiles:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,predictions", [
+        ("eval-d2i", "predictions_d2i_small.jsonl"),
+        ("eval-i2d", "predictions_i2d_small.jsonl"),
+    ])
+    def test_non_finite_text2mol_exits_one(self, capsys, tmp_path, fixtures_dir,
+                                           command, predictions, value):
+        preds = fixtures_dir / predictions
+        rows = sum(1 for line in preds.read_text().splitlines() if line.strip())
+        path = tmp_path / "t2m.txt"
+        path.write_text(f"D=2\n{value} 0 1 0\n" + "1 0 1 0\n" * (rows - 1))
+        code, out, err = run(capsys, command, str(preds),
+                             "--text2mol-embeddings", str(path), "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("eval-i2d", "{bad}"),
+        ("eval-d2i", "{bad}"),
+        ("eval-i2d", "{i2d}", "--keyset", "{bad}"),
+        ("eval-i2d", "{i2d}", "--embeddings-ref", "{bad}", "--embeddings-hyp", "{bad}"),
+        ("eval-d2i", "{d2i}", "--text2mol-embeddings", "{bad}"),
+        ("tokenize", "{bad}"),
+        ("validate", "{bad}"),
+        ("fingerprint", "{bad}"),
+        ("render", "{bad}"),
+        ("fcd", "--embeddings-ref", "{bad}", "--embeddings-hyp", "{bad}"),
+        ("ingest", "{bad}", "--layout", "generic_jsonl"),
+        ("ingest", "{bad}", "--layout", "drugbank_csv"),
+        ("ingest", "{bad}", "--layout", "chembl_tsv"),
+    ], ids=" ".join)
+    def test_undecodable_file_is_named(self, capsys, tmp_path, fixtures_dir, argv):
+        bad = tmp_path / "input"
+        bad.write_bytes(b"C\xff\n")
+        names = {"bad": bad,
+                 "i2d": fixtures_dir / "predictions_i2d_small.jsonl",
+                 "d2i": fixtures_dir / "predictions_d2i_small.jsonl"}
+        code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}: not UTF-8 text")
+
     @pytest.mark.parametrize("text", ["[]", '{"task": "indication_to_drug", "scores": 5}'])
     def test_render_non_report_json_exits_one(self, capsys, tmp_path, text):
         path = tmp_path / "r.json"

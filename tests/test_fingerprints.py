@@ -112,6 +112,20 @@ class TestPath:
             oracle = oracles.path_descriptors_by_permutation(mol, 7)
             assert mine == oracle, text
 
+    def test_generated_molecules_match_permutation_oracle(self):
+        rng = random.Random(6021)
+        ringed = 0
+        for _ in range(240):
+            gmol = genmol.random_molecule(rng, max_atoms=8, max_ring_bonds=4)
+            text, _ = genmol.write_smiles(gmol, rng=rng)
+            mol = parse_smiles(text)
+            ringed += len(mol.bonds) >= len(mol.atoms)
+            for max_path_bonds in (7, 3):
+                assert (enumerate_path_descriptors(mol, max_path_bonds)
+                        == oracles.path_descriptors_by_permutation(
+                            mol, max_path_bonds)), (text, max_path_bonds)
+        assert ringed >= 60   # rings give the most paths between two atoms
+
     def test_params_recorded(self):
         fp = path_fingerprint(parse_smiles("CC"), max_path_bonds=5, width=256)
         assert fp.scheme == "path"

@@ -4,9 +4,11 @@ Each file under ``tests/fixtures/golden/`` is the stdout of one CLI call
 on a committed fixture, except for ``tokenize``, which stops at the first
 line it cannot split: its golden file holds one call per fixture line,
 with that call's exit code and stdout or stderr.  The ``validate`` and
-``tokenize`` files pin every parse failure message and offset.  The test
-renders every call again and compares byte for byte.  After a change that
-is meant to alter these bytes, rewrite the files with::
+``tokenize`` files pin every parse failure message and offset; the
+``fingerprint`` files pin the path-fingerprint bits of drug-sized
+molecules with fused and bridged rings.  The test renders every call
+again and compares byte for byte.  After a change that is meant to alter
+these bytes, rewrite the files with::
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -48,6 +50,11 @@ GOLDEN["validate_smiles_grammar.txt"] = ("validate", "smiles_grammar.txt")
 GOLDEN["validate_smiles_grammar_strict.txt"] = (
     "validate", "smiles_grammar.txt", "--strict-validity")
 GOLDEN["tokenize_smiles_grammar.txt"] = ("tokenize", "smiles_grammar.txt")
+GOLDEN["fingerprint_path_drugs.txt"] = ("fingerprint", "drugs_smiles.txt",
+                                        "--scheme", "path")
+GOLDEN["fingerprint_path_drugs_p3_b256.txt"] = (
+    "fingerprint", "drugs_smiles.txt", "--scheme", "path",
+    "--max-path", "3", "--bits", "256")
 
 
 def _run(argv: list[str], stdin: str = "") -> tuple[int, str, str]:

@@ -186,6 +186,15 @@ class TestMeteor:
         score = meteor(pair([text], [text]))
         assert score == pytest.approx(1 - 0.5 * (1 / 30) ** 3, abs=1e-12)
 
+    def test_long_looping_hypothesis_is_scored(self):
+        # Degenerate model output: one clause repeated to 1,500 words.  The
+        # alignment search is deeper than Python's recursion limit.
+        ref = "for the treatment of chronic pain in adults and children"
+        loop = "for the relief of chronic pain in adults".split()
+        hyp = " ".join((loop * 188)[:1500])
+        score = meteor(pair([ref], [hyp]))
+        assert math.isfinite(score) and 0.0 < score < 1.0
+
 
 class TestLevenshtein:
     @pytest.mark.parametrize("a,b,distance", [
@@ -209,6 +218,53 @@ class TestLevenshtein:
             b = "".join(rng.choice(alphabet)
                         for _ in range(rng.randrange(0, 25)))
             assert levenshtein(a, b) == oracles.levenshtein_full_table(a, b)
+
+    # Lengths on both sides of each 64-bit word boundary, so a carry or
+    # mask fault at bit 63/64 or 127/128 cannot hide.
+    WORD_EDGES = (63, 64, 65, 127, 128, 129)
+
+    def test_long_strings_against_full_table_oracle(self):
+        rng = random.Random(4099)
+        alphabet = "CNOcn()=1#"
+        draws = [rng.randrange(0, 201) for _ in range(30)]
+        for length in (0, *self.WORD_EDGES, 200, *draws):
+            a = "".join(rng.choice(alphabet) for _ in range(length))
+            # Both argument orders, so each side is once the empty one.
+            for other in (*self.WORD_EDGES, rng.randrange(0, 201), 0):
+                b = "".join(rng.choice(alphabet) for _ in range(other))
+                expected = oracles.levenshtein_full_table(a, b)
+                assert levenshtein(a, b) == expected, (a, b)
+                assert levenshtein(b, a) == expected, (b, a)
+
+    def test_word_edges_with_few_edits(self):
+        rng = random.Random(65)
+        for length in self.WORD_EDGES:
+            a = "".join(rng.choice("ab") for _ in range(length))
+            for position in (0, length // 2, length - 1):
+                b = a[:position] + "c" + a[position + 1:]
+                assert levenshtein(a, b) == 1, (length, position)
+                assert levenshtein(a, a[:position] + a[position + 1:]) == 1
+                assert levenshtein(a, a[:position] + "c" + a[position:]) == 1
+
+    def test_substring(self):
+        rng = random.Random(129)
+        for _ in range(40):
+            a = "".join(rng.choice("CNO=()") for _ in range(rng.randrange(1, 201)))
+            start = rng.randrange(len(a))
+            part = a[start:rng.randrange(start, len(a) + 1)]
+            assert oracles.levenshtein_full_table(a, part) == len(a) - len(part)
+            assert levenshtein(a, part) == len(a) - len(part)
+            assert levenshtein(part, a) == len(a) - len(part)
+
+    def test_non_ascii_and_astral_characters(self):
+        rng = random.Random(2003)
+        alphabet = "aé€中\U0001F600\U00010348ß"
+        for _ in range(80):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 140)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 140)))
+            assert levenshtein(a, b) == oracles.levenshtein_full_table(a, b), (a, b)
+        assert levenshtein("\U0001F600", "\U0001F601") == 1
+        assert levenshtein("caf\u00e9", "cafe") == 1
 
 
 class TestExactMatch:

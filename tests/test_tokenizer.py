@@ -10,6 +10,7 @@ from evalkit.errors import (
     EmptyCorpus,
     IllegalCharacter,
     InputError,
+    UndecodableFile,
     UnterminatedBracket,
 )
 from evalkit.tokenizer import (
@@ -192,6 +193,12 @@ class TestVocabulary:
         path = tmp_path / "vocab.txt"
         path.write_text("C\nO\n")
         with pytest.raises(InputError):
+            Vocabulary.load(path)
+
+    def test_load_names_an_undecodable_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"<pad>\n\xff\n")
+        with pytest.raises(UndecodableFile, match="vocab.txt: not UTF-8 text"):
             Vocabulary.load(path)
 
     def test_ids_are_dense_and_stable(self):
