@@ -8,6 +8,8 @@ writes:
     tests/fixtures/embeddings_ref.txt     100 x 8 embedding file
     tests/fixtures/embeddings_hyp.txt     100 x 8 embedding file (different)
     tests/fixtures/text2mol_identity.txt  100 paired rows, ref == hyp
+    tests/fixtures/predictions_d2i_long.jsonl
+                                          10 drug->indication rows, 3-4 clauses
 
 Byte-identical on every run: the only randomness is the package's own
 seeded PRNG and all floats are fixed-format.
@@ -39,6 +41,9 @@ POPULATIONS = ("in adults", "in children over six years of age", "in elderly pat
                "in hospitalized patients", "in adults and adolescents",
                "when first line therapy has failed")
 SOURCES = ("drugbank", "chembl", "other")
+JOINERS = ("; ", " and ", ", as well as ")
+D2I_KINDS = ("copy", "partial", "other", "truncation", "loop")
+LOOP_WORDS = 200
 
 
 def _uniform(rng: Xoshiro256StarStar, low: float, high: float) -> float:
@@ -63,6 +68,45 @@ def make_pairs(smiles: list[str]) -> None:
                 "indication": indication,
                 "source": _pick(rng, SOURCES),
             }
+            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def _clause(rng: Xoshiro256StarStar) -> str:
+    return (f"for the {_pick(rng, ACTIONS)} of {_pick(rng, QUALIFIERS)} "
+            f"{_pick(rng, CONDITIONS)} {_pick(rng, POPULATIONS)}")
+
+
+def _indication(clauses: list[str]) -> str:
+    text = clauses[0]
+    for i, part in enumerate(clauses[1:]):
+        text += JOINERS[i % len(JOINERS)] + part
+    return text[0].upper() + text[1:] + "."
+
+
+def make_d2i_long(rows: int = 10) -> None:
+    """Long indications whose METEOR alignment search is large: hypotheses
+    copy the reference, replace half its clauses, name another indication,
+    truncate it, or loop its first clause."""
+    rng = Xoshiro256StarStar(2007)
+    parts = [[_clause(rng) for _ in range(3 + i % 2)] for i in range(rows)]
+    refs = [_indication(p) for p in parts]
+    with (FIXTURES / "predictions_d2i_long.jsonl").open("w", encoding="utf-8") as out:
+        for i, (clauses, ref) in enumerate(zip(parts, refs)):
+            kind = D2I_KINDS[i % len(D2I_KINDS)]
+            if kind == "copy":
+                hyp = ref
+            elif kind == "partial":
+                kept = [c if j % 2 else _clause(rng) for j, c in enumerate(clauses)]
+                hyp = _indication(kept)
+            elif kind == "other":
+                hyp = refs[(i + 2) % rows]
+            elif kind == "truncation":
+                words = ref.split()
+                hyp = " ".join(words[:len(words) * (40 + rng.below(40)) // 100])
+            else:
+                loop = clauses[0].split()
+                hyp = " ".join((loop * (LOOP_WORDS // len(loop) + 1))[:LOOP_WORDS])
+            record = {"id": f"l{i + 1:02d}", "reference": ref, "hypothesis": hyp}
             out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
@@ -97,6 +141,7 @@ def main() -> None:
     make_embeddings("embeddings_ref.txt", seed=11)
     make_embeddings("embeddings_hyp.txt", seed=12, shift=0.25)
     make_text2mol_identity()
+    make_d2i_long()
     print("fixtures written to", FIXTURES)
 
 

@@ -9,12 +9,14 @@ magic number are decompressed transparently.
 
 Matrix square roots come from symmetric eigendecomposition with negative
 eigenvalues (numerical noise on near-singular fits) clamped to zero, and
-the final distance is clamped to zero as well.
+the final distance is clamped to zero as well.  Finite values so large that
+the distance overflows raise :class:`NonFiniteInput`.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,6 +110,9 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
                 + float(np.trace(a.covariance))
                 + float(np.trace(b.covariance))
                 - 2.0 * float(trace_root))
+    if not math.isfinite(distance):
+        raise NonFiniteInput(
+            "the Frechet distance overflows: embedding values too large")
     return max(distance, 0.0)
 
 

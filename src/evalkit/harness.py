@@ -145,6 +145,25 @@ def _require_task(preds: PredictionFile, expected: Task) -> None:
             f"evaluated as {expected.value}")
 
 
+def _cosine(ref: list[float], hyp: list[float]) -> float:
+    """Cosine of two finite vectors; 0 when either is the zero vector.
+
+    A vector whose squares overflow or underflow is first divided by its
+    largest magnitude; every other pair keeps the plain arithmetic.
+    """
+    norms = math.sqrt(sum(x * x for x in ref)) * math.sqrt(sum(x * x for x in hyp))
+    if 0.0 < norms < math.inf:
+        cosine = sum(r * h for r, h in zip(ref, hyp)) / norms
+        if math.isfinite(cosine):
+            return cosine
+    scale_r = max(map(abs, ref))
+    scale_h = max(map(abs, hyp))
+    if scale_r == 0.0 or scale_h == 0.0:
+        return 0.0
+    # Largest entries of 1 put both norms in [1, sqrt(dim)]: one more call.
+    return _cosine([x / scale_r for x in ref], [x / scale_h for x in hyp])
+
+
 def _mean_paired_cosine(path: str | Path, n_rows: int) -> float:
     """Mean cosine similarity over a paired-embedding file.
 
@@ -160,12 +179,7 @@ def _mean_paired_cosine(path: str | Path, n_rows: int) -> float:
         if not all(map(math.isfinite, row)):
             raise NonFiniteInput(
                 f"{path}: embedding row {number} holds NaN or infinite values")
-        ref, hyp = row[:dim], row[dim:]
-        norm_r = math.sqrt(sum(x * x for x in ref))
-        norm_h = math.sqrt(sum(x * x for x in hyp))
-        if norm_r == 0.0 or norm_h == 0.0:
-            continue
-        total += sum(r * h for r, h in zip(ref, hyp)) / (norm_r * norm_h)
+        total += _cosine(row[:dim], row[dim:])
     return total / n_rows
 
 

@@ -134,18 +134,23 @@ def _f1(overlap: int, hyp_total: int, ref_total: int) -> float:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
+    # Bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004) over one Python
+    # int, with the shorter sequence as the pattern: bit i of v is clear
+    # when the LCS of b[:i + 1] with the tokens of a read so far is one
+    # more than that of b[:i], so the clear bits add up to the LCS.
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
         return 0
-    previous = [0] * (len(b) + 1)
+    peq: dict[str, int] = {}
+    for i, token in enumerate(b):
+        peq[token] = peq.get(token, 0) | 1 << i
+    mask = (1 << len(b)) - 1
+    v = mask
     for token in a:
-        current = [0]
-        for j, other in enumerate(b, start=1):
-            if token == other:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+        u = v & peq.get(token, 0)
+        v = ((v + u) | (v - u)) & mask
+    return len(b) - v.bit_count()
 
 
 def rouge_n(corpus: CorpusPair, n: int) -> float:
@@ -172,13 +177,18 @@ def rouge_l(corpus: CorpusPair) -> float:
     return total / len(corpus)
 
 
-def _chunk_count(pairs: list[tuple[int, int]]) -> int:
-    # pairs are (hyp position, ref position) sorted by hyp position
-    chunks = 1
-    for (h0, r0), (h1, r1) in zip(pairs, pairs[1:]):
-        if h1 != h0 + 1 or r1 != r0 + 1:
-            chunks += 1
-    return chunks
+def _chunk_floor(ref: Sequence[str], hyp: Sequence[str], matches: int) -> int:
+    """A lower bound on the chunks of any alignment of ``matches`` pairs.
+
+    Two matched pairs join into one chunk only as (h, r), (h + 1, r + 1):
+    hyp bigram h equals ref bigram r, and each bigram occurrence on either
+    side joins at most once, so the joins never exceed the clipped overlap
+    of the two bigram multisets.
+    """
+    ref_bigrams = Counter(zip(ref, ref[1:]))
+    joins = sum(min(count, ref_bigrams[gram])
+                for gram, count in Counter(zip(hyp, hyp[1:])).items())
+    return max(1, matches - joins)
 
 
 def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> int:
@@ -187,11 +197,26 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
     Exhaustive depth-first search over which occurrences align, visited in
     greedy-leftmost order so the first completed alignment is the greedy
     one; beyond the search budget the best alignment found so far wins.
+    The search also stops once an alignment reaches :func:`_chunk_floor`:
+    no alignment has fewer chunks, so the rest could not change the answer.
     """
+    # Each token's remaining quota is a bit field of one int; field 0 is
+    # never filled and stands for every hyp token the quota does not hold.
+    width = max(match_quota.values()).bit_length()
+    field = (1 << width) - 1
+    shift_of: dict[str, int] = {}
+    quota = 0
+    for i, (token, count) in enumerate(match_quota.items(), start=1):
+        shift_of[token] = i * width
+        quota |= count << i * width
+    shifts = [shift_of.get(token, 0) for token in hyp]
+
+    # Ref positions of each matched token, last first: the push order.
     ref_positions: dict[str, list[int]] = {}
-    for pos, token in enumerate(ref):
-        if token in match_quota:
-            ref_positions.setdefault(token, []).append(pos)
+    for pos in range(len(ref) - 1, -1, -1):
+        if ref[pos] in shift_of:
+            ref_positions.setdefault(ref[pos], []).append(pos)
+    candidates = [ref_positions.get(token, ()) for token in hyp]
 
     # later[pos]: occurrences of hyp[pos] after pos.  A token's quota only
     # shrinks, so while it is open every earlier occurrence was visited
@@ -202,40 +227,42 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
         later[pos] = seen[hyp[pos]]
         seen[hyp[pos]] += 1
 
+    floor = _chunk_floor(ref, hyp, sum(match_quota.values()))
     best = math.inf
     budget = _METEOR_SEARCH_BUDGET
     # Depth-first with an explicit stack, so a hypothesis of any length
-    # fits.  A frame is a node: (hyp position, quota left, ref positions
-    # used, pairs so far).  Children are pushed in reverse visiting order.
-    stack = [(0, dict(match_quota), frozenset(), [])]
+    # fits.  A frame is a node: (hyp position, quota left, bitmask of ref
+    # positions used, chunks so far, ref position matched at pos - 1 or
+    # -2).  A match at r starts a chunk unless it follows that position.
+    # Children are pushed in reverse visiting order.
+    stack = [(0, quota, 0, 0, -2)]
     while stack:
         if budget <= 0 and best < math.inf:
             break
         budget -= 1
-        pos, quota, used, pairs = stack.pop()
+        pos, quota, used, chunks, prev = stack.pop()
         if not quota:
-            best = min(best, _chunk_count(pairs))
+            if chunks < best:
+                best = chunks
+                if best <= floor:
+                    break
             continue
         if pos >= len(hyp):
             continue
-        token = hyp[pos]
-        left = quota.get(token, 0)
+        shift = shifts[pos]
+        left = quota >> shift & field
         # Skipping an occurrence is allowed only if enough later
         # occurrences remain to satisfy the quota.
         if later[pos] >= left:
-            stack.append((pos + 1, quota, used, pairs))
+            stack.append((pos + 1, quota, used, chunks, -2))
         if not left:
             continue
-        for ref_pos in reversed(ref_positions[token]):
-            if ref_pos in used:
+        quota -= 1 << shift
+        for ref_pos in candidates[pos]:
+            if used >> ref_pos & 1:
                 continue
-            next_quota = dict(quota)
-            if left == 1:
-                del next_quota[token]
-            else:
-                next_quota[token] = left - 1
-            stack.append((pos + 1, next_quota, used | {ref_pos},
-                          pairs + [(pos, ref_pos)]))
+            stack.append((pos + 1, quota, used | 1 << ref_pos,
+                          chunks + (ref_pos != prev + 1), ref_pos))
     return int(best)
 
 
@@ -264,6 +291,13 @@ def meteor(corpus: CorpusPair) -> float:
     F_mean = 10PR/(R+9P), penalty 0.5*(chunks/m)^3 with the chunk count
     minimised over all maximal alignments, score F_mean*(1-penalty);
     zero when there are no matches.
+
+    The chunk search visits alignments in greedy-leftmost order and, past
+    ``_METEOR_SEARCH_BUDGET`` nodes, keeps the best one found.  It stops
+    early once an alignment has ``max(1, m - joins)`` chunks, where joins
+    is the clipped overlap of the hyp and ref bigram multisets: two pairs
+    share a chunk only across equal bigrams, each used at most once, so no
+    alignment has fewer chunks and stopping there gives the same answer.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("METEOR over an empty corpus is undefined")

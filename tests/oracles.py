@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
 Each oracle recomputes a quantity the library also computes, via a visibly
-different route: full-table DP instead of rolling rows, permutation
-enumeration instead of DFS, a hand-rolled Jacobi eigensolver instead of
-LAPACK.  Tests compare the two routes; the oracles must stay dumb and
+different route: full-table or list DP instead of bit-parallel words,
+copied search frames instead of packed ones, permutation enumeration
+instead of DFS, a hand-rolled Jacobi eigensolver instead of LAPACK.  Tests compare the two routes; the oracles must stay dumb and
 obvious rather than fast.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 
 def levenshtein_full_table(a: str, b: str) -> int:
@@ -30,6 +31,82 @@ def levenshtein_full_table(a: str, b: str) -> int:
                 table[i - 1][j - 1] + cost,
             )
     return table[m][n]
+
+
+def lcs_length_table(a, b) -> int:
+    """Longest common subsequence by the rolling-row O(nm) list DP."""
+    if not a or not b:
+        return 0
+    previous = [0] * (len(b) + 1)
+    for token in a:
+        current = [0]
+        for j, other in enumerate(b, start=1):
+            if token == other:
+                current.append(previous[j - 1] + 1)
+            else:
+                current.append(max(previous[j], current[j - 1]))
+        previous = current
+    return previous[-1]
+
+
+def _chunk_count(pairs: list[tuple[int, int]]) -> int:
+    # pairs are (hyp position, ref position) sorted by hyp position
+    chunks = 1
+    for (h0, r0), (h1, r1) in zip(pairs, pairs[1:]):
+        if h1 != h0 + 1 or r1 != r0 + 1:
+            chunks += 1
+    return chunks
+
+
+def meteor_min_chunks_dfs(ref, hyp, match_quota: dict, budget: int) -> int:
+    """METEOR's fewest-chunks search as one node per copied frame.
+
+    Each frame carries its own quota dict, used-position set and pair
+    list, and each finished alignment is re-walked to count its chunks.
+    Same visiting order and budget rule as the library: one unit per
+    popped frame, stopping once the budget is spent and an alignment is
+    found.  With a budget above the node count the search is exhaustive.
+    """
+    ref_positions: dict[str, list[int]] = {}
+    for pos, token in enumerate(ref):
+        if token in match_quota:
+            ref_positions.setdefault(token, []).append(pos)
+
+    later = [0] * len(hyp)
+    seen: Counter = Counter()
+    for pos in range(len(hyp) - 1, -1, -1):
+        later[pos] = seen[hyp[pos]]
+        seen[hyp[pos]] += 1
+
+    best = math.inf
+    stack = [(0, dict(match_quota), frozenset(), [])]
+    while stack:
+        if budget <= 0 and best < math.inf:
+            break
+        budget -= 1
+        pos, quota, used, pairs = stack.pop()
+        if not quota:
+            best = min(best, _chunk_count(pairs))
+            continue
+        if pos >= len(hyp):
+            continue
+        token = hyp[pos]
+        left = quota.get(token, 0)
+        if later[pos] >= left:
+            stack.append((pos + 1, quota, used, pairs))
+        if not left:
+            continue
+        for ref_pos in reversed(ref_positions[token]):
+            if ref_pos in used:
+                continue
+            next_quota = dict(quota)
+            if left == 1:
+                del next_quota[token]
+            else:
+                next_quota[token] = left - 1
+            stack.append((pos + 1, next_quota, used | {ref_pos},
+                          pairs + [(pos, ref_pos)]))
+    return int(best)
 
 
 def path_descriptors_by_permutation(mol, max_path_bonds: int) -> set[tuple]:

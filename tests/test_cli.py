@@ -1,8 +1,12 @@
 """Command-line interface tests (in-process through main(argv))."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evalkit.cli import main
 from evalkit.errors import EigenFailure
@@ -306,6 +310,32 @@ class TestHostileFiles:
         assert out == ""
         assert err.startswith("error:") and str(path) in err
 
+    @pytest.mark.parametrize("value", ["1e200", "1e153"])
+    def test_overflowing_fcd_exits_one(self, capsys, tmp_path, value):
+        # Finite values whose covariance (1e200) or Frechet product (1e153)
+        # overflows once gave "nan" with exit 0.
+        path = tmp_path / "e.txt"
+        path.write_text(f"D=2\n{value} 0\n0 {value}\n")
+        code, out, err = run(capsys, "fcd", "--embeddings-ref", str(path),
+                             "--embeddings-hyp", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
+
+    @pytest.mark.parametrize("value", ["1e200", "1e-200"])
+    def test_extreme_text2mol_row_scores_finitely(self, capsys, tmp_path,
+                                                   fixtures_dir, value):
+        # Squares that overflow (1e200) or underflow (1e-200) once gave
+        # NaN or a zero-vector 0; each pair below is parallel.
+        preds = fixtures_dir / "predictions_d2i_small.jsonl"
+        rows = sum(1 for line in preds.read_text().splitlines() if line.strip())
+        path = tmp_path / "t2m.txt"
+        path.write_text(f"D=2\n{value} 0 {value} 0\n" + "1 0 1 0\n" * (rows - 1))
+        code, out, _ = run(capsys, "eval-d2i", str(preds),
+                           "--text2mol-embeddings", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["scores"]["text2mol"] == pytest.approx(1.0)
+
     @pytest.mark.parametrize("argv", [
         ("eval-i2d", "{bad}"),
         ("eval-d2i", "{bad}"),
@@ -339,6 +369,57 @@ class TestHostileFiles:
         code, _, err = run(capsys, "render", str(path))
         assert code == 1
         assert err.startswith("error:")
+
+
+# Every subcommand that reads a file, with that file as "{path}"; the
+# fixture named after it seeds the mutated inputs.
+FUZZED_FILES = {
+    "eval-i2d": (("eval-i2d", "{path}"), "predictions_i2d_small.jsonl"),
+    "eval-d2i": (("eval-d2i", "{path}"), "predictions_d2i_small.jsonl"),
+    "eval-d2i text2mol": (("eval-d2i", "{fixtures}/predictions_d2i_small.jsonl",
+                           "--text2mol-embeddings", "{path}"), "text2mol_small.txt"),
+    "ingest generic_jsonl": (("ingest", "{path}", "--layout", "generic_jsonl"),
+                             "pairs_small.jsonl"),
+    "ingest drugbank_csv": (("ingest", "{path}", "--layout", "drugbank_csv"),
+                            "drugbank_like.csv"),
+    "ingest chembl_tsv": (("ingest", "{path}", "--layout", "chembl_tsv"),
+                          "chembl_like.tsv"),
+    "stats": (("stats", "{path}"), "pairs_small.jsonl"),
+    "tokenize": (("tokenize", "{path}"), "smiles_grammar.txt"),
+    "validate": (("validate", "{path}", "--strict-validity"), "smiles_grammar.txt"),
+    "fingerprint": (("fingerprint", "{path}", "--scheme", "path"), "valid_smiles.txt"),
+    "fingerprint keyset": (("fingerprint", "{fixtures}/valid_smiles.txt", "--scheme",
+                            "keys", "--keyset", "{path}"), "keyset_small.tsv"),
+    "fcd": (("fcd", "--embeddings-ref", "{path}", "--embeddings-hyp",
+             "{fixtures}/embeddings_hyp.txt"), "embeddings_ref.txt"),
+    "render": (("render", "{path}"), "golden/d2i_small.json"),
+}
+
+
+def _file_bytes(seed: bytes):
+    """Arbitrary bytes, or the seed's first 256 with one span replaced."""
+    seed = seed[:256]
+    spliced = st.tuples(
+        st.integers(0, len(seed)), st.integers(0, len(seed)),
+        st.binary(max_size=16),
+    ).map(lambda t: (seed[:min(t[:2])] + t[2] + seed[max(t[:2]):])[:256])
+    return st.one_of(st.binary(max_size=256), spliced)
+
+
+@pytest.mark.parametrize("name", sorted(FUZZED_FILES))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_file_bytes_exit_cleanly(tmp_path, fixtures_dir, name, data):
+    argv, seed = FUZZED_FILES[name]
+    content = data.draw(_file_bytes((fixtures_dir / seed).read_bytes()))
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([arg.format(path=path, fixtures=fixtures_dir) for arg in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestArgumentErrors:

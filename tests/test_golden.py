@@ -36,6 +36,7 @@ REPORTS = {
     "i2d_repeated_strict": ("eval-i2d", "predictions_i2d_repeated.jsonl",
                             "--strict-validity"),
     "d2i_small": ("eval-d2i", "predictions_d2i_small.jsonl"),
+    "d2i_long": ("eval-d2i", "predictions_d2i_long.jsonl"),
 }
 
 # golden file name -> CLI arguments

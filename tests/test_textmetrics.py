@@ -1,12 +1,16 @@
 """Text generation metric tests: BLEU, ROUGE, METEOR, edit distance."""
 
+import json
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evalkit import textmetrics
 from evalkit.errors import EmptyCorpus, InputError, LengthMismatch
 from evalkit.textmetrics import (
     CorpusPair,
@@ -194,6 +198,116 @@ class TestMeteor:
         hyp = " ".join((loop * 188)[:1500])
         score = meteor(pair([ref], [hyp]))
         assert math.isfinite(score) and 0.0 < score < 1.0
+
+
+def _quota(ref, hyp):
+    # The match quota _meteor_pair hands to the chunk search.
+    ref_counts = Counter(ref)
+    return {token: min(count, ref_counts[token])
+            for token, count in Counter(hyp).items() if ref_counts[token]}
+
+
+def _fixture_pairs():
+    fixtures = Path(__file__).parent / "fixtures"
+    pairs = []
+    for name in ("predictions_d2i_long.jsonl", "predictions_d2i_small.jsonl"):
+        for line in (fixtures / name).read_text("utf-8").splitlines():
+            row = json.loads(line)
+            ref = tokenize_text(row["reference"], TokenMode.WORD)
+            hyp = tokenize_text(row["hypothesis"], TokenMode.WORD)
+            if _quota(ref, hyp):
+                pairs.append((ref, hyp))
+    return pairs
+
+
+def _random_pairs(seed, count, max_len):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        vocabulary = "abcde"[:rng.randrange(1, 6)]
+        ref = [rng.choice(vocabulary) for _ in range(rng.randrange(1, max_len + 1))]
+        hyp = [rng.choice(vocabulary) for _ in range(rng.randrange(1, max_len + 1))]
+        if _quota(ref, hyp):
+            pairs.append((ref, hyp))
+    return pairs
+
+
+class TestMeteorSearch:
+    """The chunk search against the copied-frame DFS it replaced."""
+
+    BUDGETS = (1, 2, 7, 50, 500, textmetrics._METEOR_SEARCH_BUDGET)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_fixture_matches_dfs_oracle(self, budget, monkeypatch):
+        monkeypatch.setattr(textmetrics, "_METEOR_SEARCH_BUDGET", budget)
+        for ref, hyp in _fixture_pairs():
+            quota = _quota(ref, hyp)
+            expected = oracles.meteor_min_chunks_dfs(ref, hyp, quota, budget)
+            assert textmetrics._min_chunks(ref, hyp, quota) == expected, (ref, hyp)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_random_pairs_match_dfs_oracle(self, budget, monkeypatch):
+        monkeypatch.setattr(textmetrics, "_METEOR_SEARCH_BUDGET", budget)
+        for ref, hyp in _random_pairs(budget, 500, 10):
+            quota = _quota(ref, hyp)
+            expected = oracles.meteor_min_chunks_dfs(ref, hyp, quota, budget)
+            assert textmetrics._min_chunks(ref, hyp, quota) == expected, (ref, hyp)
+
+    def test_fixture_rows_end_above_the_floor(self):
+        # A search that ends above the floor never stops early: it runs
+        # out of budget or out of nodes.  The long fixture must keep such
+        # rows, or the default-budget comparison above tests no budget.
+        above_floor = 0
+        for ref, hyp in _fixture_pairs():
+            quota = _quota(ref, hyp)
+            floor = textmetrics._chunk_floor(ref, hyp, sum(quota.values()))
+            above_floor += textmetrics._min_chunks(ref, hyp, quota) > floor
+        assert above_floor >= 3
+
+    def test_floor_never_exceeds_exhaustive_optimum(self):
+        reached = 0
+        for ref, hyp in _random_pairs(8, 600, 8):
+            quota = _quota(ref, hyp)
+            optimum = oracles.meteor_min_chunks_dfs(ref, hyp, quota, 10**9)
+            floor = textmetrics._chunk_floor(ref, hyp, sum(quota.values()))
+            assert 1 <= floor <= optimum, (ref, hyp)
+            reached += floor == optimum
+        assert reached > 0
+
+
+class TestLcs:
+    """ROUGE-L's bit-parallel LCS against the list dynamic program."""
+
+    WORD_EDGES = (63, 64, 65, 127, 128, 129)
+
+    def test_random_pairs_against_list_dp(self):
+        rng = random.Random(2004)
+        for _ in range(300):
+            a = [rng.choice("abcd") for _ in range(rng.randrange(0, 30))]
+            b = [rng.choice("abcd") for _ in range(rng.randrange(0, 30))]
+            assert textmetrics._lcs_length(a, b) == oracles.lcs_length_table(a, b)
+
+    def test_long_sequences_against_list_dp(self):
+        rng = random.Random(1986)
+        words = ("the", "of", "for", "pain", "in", "adults", "and")
+        draws = [rng.randrange(0, 201) for _ in range(20)]
+        for length in (0, *self.WORD_EDGES, 200, *draws):
+            a = [rng.choice(words) for _ in range(length)]
+            # Both argument orders, so each side is once the empty one.
+            for other in (*self.WORD_EDGES, rng.randrange(0, 201), 0):
+                b = [rng.choice(words) for _ in range(other)]
+                expected = oracles.lcs_length_table(a, b)
+                assert textmetrics._lcs_length(a, b) == expected, (a, b)
+                assert textmetrics._lcs_length(b, a) == expected, (b, a)
+
+    def test_subsequence_and_disjoint(self):
+        rng = random.Random(129)
+        for length in (1, *self.WORD_EDGES, 200):
+            a = [rng.choice("xyz") for _ in range(length)]
+            part = [t for t in a if rng.random() < 0.5]
+            assert textmetrics._lcs_length(a, part) == len(part)
+            assert textmetrics._lcs_length(part, a) == len(part)
+            assert textmetrics._lcs_length(a, ["w"] * length) == 0
 
 
 class TestLevenshtein:
