@@ -21,7 +21,8 @@ ELEMENTS: frozenset[str] = frozenset((
 # Elements that may carry the aromatic flag at all, and their lowercase
 # spellings inside brackets.
 AROMATIC_CAPABLE: frozenset[str] = frozenset({"B", "C", "N", "O", "P", "S", "Se", "As"})
-AROMATIC_BRACKET: frozenset[str] = frozenset({"b", "c", "n", "o", "p", "s", "se", "as"})
+AROMATIC_BRACKET: frozenset[str] = frozenset(
+    symbol.lower() for symbol in AROMATIC_CAPABLE)
 
 # Allowed valences for organic-subset atoms, smallest first.  Used both for
 # implicit-hydrogen assignment and for strict validity checking.

@@ -23,11 +23,13 @@ present.  Widths must be powers of two.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+from .elements import ELEMENTS
 from .errors import InputError, SchemeMismatch, read_utf8
 from .smiles import BondOrder, Molecule
 
@@ -221,6 +223,10 @@ def path_fingerprint(mol: Molecule, max_path_bonds: int = 7, width: int = 2048) 
 
 # --- key-based fingerprints --------------------------------------------------
 
+# Numbers in key-set files: an ASCII digit run short enough that int()
+# never meets a huge value.
+_SMALL_NUMBER_RE = re.compile(r"[0-9]{1,9}")
+
 _BOND_NAMES = {
     "single": BondOrder.SINGLE,
     "double": BondOrder.DOUBLE,
@@ -254,51 +260,57 @@ class KeyDescriptor:
     @classmethod
     def parse(cls, text: str) -> "KeyDescriptor":
         parts = text.split(":")
-        head = parts[0]
-        if head == "ring" and len(parts) == 1:
+        head, args = parts[0], parts[1:]
+        if head == "ring" and not args:
             return cls(text, lambda mol: any(mol.ring_atom_flags))
-        if head == "element" and len(parts) == 2 and parts[1]:
-            symbol = parts[1]
+        if head == "element" and len(args) == 1 and args[0] in ELEMENTS:
+            symbol = args[0]
             return cls(text, lambda mol: any(a.element == symbol for a in mol.atoms))
-        if head == "count" and len(parts) == 3 and parts[1] and parts[2].isdigit() \
-                and int(parts[2]) >= 1:
-            symbol, needed = parts[1], int(parts[2])
+        if head == "count" and len(args) == 2 and args[0] in ELEMENTS \
+                and _small_number(args[1]) >= 1:
+            symbol, needed = args[0], int(args[1])
             return cls(text, lambda mol: sum(a.element == symbol
                                              for a in mol.atoms) >= needed)
-        if head == "ring-size" and len(parts) == 2 and parts[1].isdigit() \
-                and int(parts[1]) >= 3:
-            size = int(parts[1])
+        if head == "ring-size" and len(args) == 1 and _small_number(args[0]) >= 3:
+            size = int(args[0])
             return cls(text, lambda mol: size in mol.ring_sizes)
-        if head == "bond" and len(parts) == 2 and parts[1] in _BOND_NAMES:
-            wanted = _BOND_NAMES[parts[1]]
+        if head == "bond" and len(args) == 1 and args[0] in _BOND_NAMES:
+            wanted = _BOND_NAMES[args[0]]
             return cls(text, lambda mol: any(b.order is wanted for b in mol.bonds))
-        if head == "path" and len(parts) == 2 and parts[1]:
-            sequence = tuple(parts[1].split("-"))
-            reverse = sequence[::-1]
-            if len(sequence) >= 2 and all(sequence):
-                return cls(text, lambda mol: (
-                    _element_path_exists(mol, sequence)
-                    or _element_path_exists(mol, reverse)))
+        if head == "path" and len(args) == 1:
+            sequence = tuple(args[0].split("-"))
+            if len(sequence) >= 2 and all(s in ELEMENTS for s in sequence):
+                return cls(text, lambda mol: _element_path_exists(mol, sequence))
         raise InputError(f"unrecognised key descriptor {text!r}")
 
     def matches(self, mol: Molecule) -> bool:
         return self.predicate(mol)
 
 
+def _small_number(text: str) -> int:
+    """The value of an ASCII digit run of at most nine digits, or -1 for
+    any other text, so that every lower bound rejects it."""
+    return int(text) if _SMALL_NUMBER_RE.fullmatch(text) else -1
+
+
 def _element_path_exists(mol: Molecule, sequence: tuple[str, ...]) -> bool:
-    for start, atom in enumerate(mol.atoms):
+    """Whether some simple path reads ``sequence`` element by element.  A
+    path read backwards is a path too, so one search covers both
+    directions of the key."""
+    atoms = mol.atoms
+    for start, atom in enumerate(atoms):
         if atom.element != sequence[0]:
             continue
-        stack = [(start, 1, frozenset((start,)))]
+        # (end atom, atoms matched so far, those atoms as bits)
+        stack = [(start, 1, 1 << start)]
         while stack:
             node, depth, visited = stack.pop()
             if depth == len(sequence):
                 return True
             for nbr, _ in mol.neighbors[node]:
-                if nbr in visited:
-                    continue
-                if mol.atoms[nbr].element == sequence[depth]:
-                    stack.append((nbr, depth + 1, visited | {nbr}))
+                bit = 1 << nbr
+                if not visited & bit and atoms[nbr].element == sequence[depth]:
+                    stack.append((nbr, depth + 1, visited | bit))
     return False
 
 
@@ -329,10 +341,13 @@ class KeySet:
             if len(fields) != 2:
                 raise InputError(
                     f"{path} line {lineno}: expected '<id>\\t<descriptor>'")
-            if not fields[0].isdigit() or int(fields[0]) != len(keys):
+            if _small_number(fields[0]) != len(keys):
                 raise InputError(
                     f"{path} line {lineno}: key ids must be dense from 0")
-            keys.append(KeyDescriptor.parse(fields[1]))
+            try:
+                keys.append(KeyDescriptor.parse(fields[1]))
+            except InputError as exc:
+                raise InputError(f"{path} line {lineno}: {exc}") from None
         if not keys:
             raise InputError(f"key set file {path} defines no keys")
         return cls(name=Path(path).stem, keys=tuple(keys))

@@ -42,6 +42,7 @@ from .errors import (
 from .frechet import fcd_from_files, read_vector_rows
 from .smiles import validate
 from .textmetrics import (
+    BLEU_EPSILON,
     CorpusPair,
     TokenMode,
     bleu,
@@ -199,7 +200,7 @@ def eval_d2i(preds: PredictionFile,
         "task": Task.DRUG_TO_INDICATION.value,
         "rows": len(preds),
         "tokenization": TokenMode.WORD.value,
-        "bleu_smoothing_epsilon": 1e-9,
+        "bleu_smoothing_epsilon": BLEU_EPSILON,
         "rouge_scoring": "f1",
         "meteor_matching": "exact unigrams, no stemming or synonyms",
         "text2mol": ("mean cosine over paired embeddings"
@@ -310,7 +311,7 @@ def eval_i2d(preds: PredictionFile,
         "rows": len(preds),
         "tokenization": TokenMode.CHAR.value,
         "bleu_max_n": bleu_max_n,
-        "bleu_smoothing_epsilon": 1e-9,
+        "bleu_smoothing_epsilon": BLEU_EPSILON,
         "levenshtein": "character level on raw strings",
         "validity_mode": "strict" if strict_validity else "lenient",
         "fingerprint_hash": "fnv1a-64",

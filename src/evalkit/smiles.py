@@ -1,11 +1,12 @@
 """SMILES parsing, structural validation, and elementary molecular properties.
 
 The grammar covered here is the organic subset plus bracket atoms (isotope,
-chirality, explicit hydrogen count, formal charge, atom class), branches,
-ring closures written as single digits or ``%nn``, aromatic atoms and bonds,
-directional bonds (``/`` and ``\\``, recorded as plain single bonds), and
-dot-separated fragments.  Parsing never canonicalises and never mutates the
-input; a parsed :class:`Molecule` keeps the source string it came from.
+chirality, explicit hydrogen count, formal charge, atom class; numbers of at
+most nine digits), branches, ring closures written as single digits or
+``%nn``, aromatic atoms and bonds, directional bonds (``/`` and ``\\``,
+recorded as plain single bonds), and dot-separated fragments.  Parsing
+never canonicalises and never mutates the input; a parsed :class:`Molecule`
+keeps the source string it came from.
 
 Stereochemistry is read but not interpreted: chirality markers are stored on
 the atom, bond direction is discarded.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -278,28 +280,69 @@ class ValidityReport:
     molecule: Molecule | None = field(default=None, compare=False, repr=False)
 
 
-class _Cursor:
-    """Character cursor over the inside of a bracket atom."""
+def _longest_first(symbols: frozenset[str]) -> str:
+    """A regex alternation of ``symbols`` that tries longer spellings first."""
+    return "|".join(sorted(symbols, key=lambda symbol: (-len(symbol), symbol)))
 
-    __slots__ = ("text", "pos")
 
-    def __init__(self, text: str, pos: int):
-        self.text = text
-        self.pos = pos
+# The inside of a bracket atom, matched just after its ``[``:
+#     isotope? symbol chirality? hcount? charge? class?
+# (OpenSMILES ``bracket_atom``).  Every group is optional, so on bad input
+# the match ends where the grammar breaks.  Digit runs that become numbers
+# stop at nine digits, so every number read is small and a longer run is an
+# error at its tenth digit.
+_BRACKET_RE = re.compile(
+    r"(?P<isotope>[0-9]{0,9})"
+    rf"(?:(?P<aromatic>{_longest_first(AROMATIC_BRACKET)})"
+    rf"|(?P<element>{_longest_first(ELEMENTS)}))?"
+    r"(?P<chirality>@@?)?"
+    r"(?P<hydrogens>H[0-9]{0,9})?"
+    r"(?P<charge>[+-][0-9]{1,9}|\++|-+)?"
+    r"(?P<atom_class>:[0-9]+)?"
+)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
+def _bracket_atom(text: str, start: int) -> Atom:
+    """Read the bracket atom whose ``[`` is at ``start``; raises at the
+    first character the bracket grammar does not allow, or when no ``]``
+    closes it.  An atom class is accepted and discarded."""
+    match = _BRACKET_RE.match(text, start + 1)
+    aromatic, element = match["aromatic"], match["element"]
+    # With no symbol, the grammar broke right after the isotope.
+    pos = match.end() if aromatic or element else match.end("isotope")
+    if pos == len(text):
+        raise UnterminatedBracket("bracket atom never closed", start)
+    ch = text[pos]
+    if not (aromatic or element):
+        if ch.islower():
+            raise UnknownSymbol(f"unknown aromatic symbol {ch!r} in bracket", pos)
+        if ch.isupper():
+            raise UnknownSymbol(f"unknown element symbol {ch!r} in bracket", pos)
+        raise UnknownSymbol(f"expected an element symbol, found {ch!r}", pos)
+    if ch != "]":
+        if ch == ":" and match["atom_class"] is None:
+            raise UnknownSymbol("atom class marker ':' without digits", pos + 1)
+        raise UnknownSymbol(f"unexpected {ch!r} inside bracket atom", pos)
 
-    def take_digits(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        return self.text[start:self.pos]
+    isotope, chirality = match["isotope"], match["chirality"]
+    hydrogens, charge = match["hydrogens"], match["charge"] or ""
+    return Atom(
+        element=element or aromatic.capitalize(),
+        aromatic=bool(aromatic),
+        # a digit run is the magnitude; a run of signs counts itself
+        formal_charge=(int(charge) if charge[1:].isdigit()
+                       else charge.count("+") - charge.count("-")),
+        explicit_h_count=(int(hydrogens[1:] or 1) if hydrogens else 0),
+        isotope=int(isotope) if isotope else None,
+        chirality=Chirality(chirality) if chirality else None,
+        in_bracket=True,
+    )
+
+
+def _default_order(a: Atom, b: Atom) -> BondOrder:
+    """The order of a bond written without a symbol: aromatic between two
+    aromatic atoms, single otherwise."""
+    return BondOrder.AROMATIC if a.aromatic and b.aromatic else BondOrder.SINGLE
 
 
 @cache
@@ -342,10 +385,7 @@ class _Parser:
         idx = len(self.atoms)
         self.atoms.append(atom)
         if self.prev is not None:
-            order = self._take_pending()
-            if order is None:
-                both_aromatic = atom.aromatic and self.atoms[self.prev].aromatic
-                order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
+            order = self._take_pending() or _default_order(self.atoms[self.prev], atom)
             self._add_bond(self.prev, idx, order, offset)
         self.prev = idx
 
@@ -364,95 +404,9 @@ class _Parser:
             raise RingBondConflict(
                 f"ring bond {number} written as {other_order.name.lower()} on one "
                 f"end and {order.name.lower()} on the other", offset)
-        resolved = order or other_order
-        if resolved is None:
-            both_aromatic = (self.atoms[other].aromatic
-                             and self.atoms[self.prev].aromatic)
-            resolved = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
+        resolved = (order or other_order
+                    or _default_order(self.atoms[other], self.atoms[self.prev]))
         self._add_bond(other, self.prev, resolved, offset)
-
-    # -- bracket atoms ---------------------------------------------------------
-
-    @staticmethod
-    def _read_bracket_symbol(cur: _Cursor) -> tuple[str, bool]:
-        ch = cur.peek()
-        if ch.islower():
-            two = cur.text[cur.pos:cur.pos + 2]
-            if two in AROMATIC_BRACKET:
-                cur.pos += 2
-                return two.capitalize(), True
-            if ch in AROMATIC_BRACKET:
-                cur.take()
-                return ch.upper(), True
-            raise UnknownSymbol(f"unknown aromatic symbol {ch!r} in bracket", cur.pos)
-        if ch.isupper():
-            two = cur.text[cur.pos:cur.pos + 2]
-            if len(two) == 2 and two[1].islower() and two in ELEMENTS:
-                cur.pos += 2
-                return two, False
-            if ch in ELEMENTS:
-                cur.take()
-                return ch, False
-            raise UnknownSymbol(f"unknown element symbol {ch!r} in bracket", cur.pos)
-        raise UnknownSymbol(f"expected an element symbol, found {ch!r}", cur.pos)
-
-    def _parse_bracket_atom(self, start: int) -> Atom:
-        """Read the bracket atom whose ``[`` is at ``start``; raises when no
-        ``]`` closes it."""
-        cur = _Cursor(self.text, start + 1)
-        digits = cur.take_digits()
-        isotope = int(digits) if digits else None
-
-        if not cur.peek():
-            raise UnterminatedBracket("bracket atom never closed", start)
-        element, aromatic = self._read_bracket_symbol(cur)
-
-        chirality = None
-        if cur.peek() == "@":
-            cur.take()
-            if cur.peek() == "@":
-                cur.take()
-                chirality = Chirality.CLOCKWISE
-            else:
-                chirality = Chirality.COUNTERCLOCKWISE
-
-        h_count = 0
-        if cur.peek() == "H":
-            cur.take()
-            digits = cur.take_digits()
-            h_count = int(digits) if digits else 1
-
-        charge = 0
-        if cur.peek() in ("+", "-"):
-            sign = 1 if cur.take() == "+" else -1
-            digits = cur.take_digits()
-            if digits:
-                charge = sign * int(digits)
-            else:
-                charge = sign
-                while cur.peek() == ("+" if sign > 0 else "-"):
-                    cur.take()
-                    charge += sign
-
-        if cur.peek() == ":":  # atom class: accepted and discarded
-            cur.take()
-            if not cur.take_digits():
-                raise UnknownSymbol("atom class marker ':' without digits", cur.pos)
-
-        if cur.peek() != "]":
-            if not cur.peek():
-                raise UnterminatedBracket("bracket atom never closed", start)
-            raise UnknownSymbol(
-                f"unexpected {cur.peek()!r} inside bracket atom", cur.pos)
-        return Atom(
-            element=element,
-            aromatic=aromatic,
-            formal_charge=charge,
-            explicit_h_count=h_count,
-            isotope=isotope,
-            chirality=chirality,
-            in_bracket=True,
-        )
 
     # -- main loop -------------------------------------------------------------
 
@@ -471,7 +425,7 @@ class _Parser:
             elif kind == "bracket_atom" or token == "[":
                 # A '[' that no ']' follows is lexically illegal; reading it
                 # as a bracket atom reports what is wrong inside it first.
-                self._add_atom(self._parse_bracket_atom(offset), offset)
+                self._add_atom(_bracket_atom(text, offset), offset)
             elif kind == "ring_digit":
                 self._ring_closure(int(token), offset)
             elif kind == "percent_ring":

@@ -24,7 +24,8 @@ from .tokenizer import tokenize as smiles_tokenize
 BLEU_EPSILON = 1e-9
 
 # Exact chunk minimisation in METEOR explores at most this many alignment
-# search nodes before falling back to the greedy leftmost alignment.
+# search nodes; when the budget runs out, the best alignment found so far
+# wins.
 _METEOR_SEARCH_BUDGET = 100_000
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity the library also computes, via a visibly
 different route: full-table or list DP instead of bit-parallel words,
 copied search frames instead of packed ones, permutation enumeration
-instead of DFS, a hand-rolled Jacobi eigensolver instead of LAPACK.  Tests compare the two routes; the oracles must stay dumb and
-obvious rather than fast.
+instead of DFS, a hand-rolled Jacobi eigensolver instead of LAPACK, a
+character cursor instead of one bracket-atom pattern.  Tests compare the
+two routes; the oracles must stay dumb and obvious rather than fast.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+
+from evalkit.elements import AROMATIC_BRACKET, ELEMENTS
+from evalkit.errors import UnknownSymbol, UnterminatedBracket
+from evalkit.smiles import Atom, Chirality
 
 
 def levenshtein_full_table(a: str, b: str) -> int:
@@ -232,3 +237,109 @@ def frechet_distance_jacobi(mean_a: list[float], cov_a: list[list[float]],
     trace_a = sum(cov_a[i][i] for i in range(n))
     trace_b = sum(cov_b[i][i] for i in range(n))
     return max(mean_term + trace_a + trace_b - 2.0 * trace_root, 0.0)
+
+
+class _Cursor:
+    """Character cursor over the inside of a bracket atom."""
+
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str, pos: int):
+        self.text = text
+        self.pos = pos
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.text[self.pos]
+        self.pos += 1
+        return ch
+
+    def take_digits(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            self.pos += 1
+        return self.text[start:self.pos]
+
+
+def _read_bracket_symbol(cur: _Cursor) -> tuple[str, bool]:
+    ch = cur.peek()
+    if ch.islower():
+        two = cur.text[cur.pos:cur.pos + 2]
+        if two in AROMATIC_BRACKET:
+            cur.pos += 2
+            return two.capitalize(), True
+        if ch in AROMATIC_BRACKET:
+            cur.take()
+            return ch.upper(), True
+        raise UnknownSymbol(f"unknown aromatic symbol {ch!r} in bracket", cur.pos)
+    if ch.isupper():
+        two = cur.text[cur.pos:cur.pos + 2]
+        if len(two) == 2 and two[1].islower() and two in ELEMENTS:
+            cur.pos += 2
+            return two, False
+        if ch in ELEMENTS:
+            cur.take()
+            return ch, False
+        raise UnknownSymbol(f"unknown element symbol {ch!r} in bracket", cur.pos)
+    raise UnknownSymbol(f"expected an element symbol, found {ch!r}", cur.pos)
+
+
+def bracket_atom_by_cursor(text: str, start: int) -> Atom:
+    """Read the bracket atom whose ``[`` is at ``start`` one character at a
+    time; raises when no ``]`` closes it.  Digit runs are not bounded."""
+    cur = _Cursor(text, start + 1)
+    digits = cur.take_digits()
+    isotope = int(digits) if digits else None
+
+    if not cur.peek():
+        raise UnterminatedBracket("bracket atom never closed", start)
+    element, aromatic = _read_bracket_symbol(cur)
+
+    chirality = None
+    if cur.peek() == "@":
+        cur.take()
+        if cur.peek() == "@":
+            cur.take()
+            chirality = Chirality.CLOCKWISE
+        else:
+            chirality = Chirality.COUNTERCLOCKWISE
+
+    h_count = 0
+    if cur.peek() == "H":
+        cur.take()
+        digits = cur.take_digits()
+        h_count = int(digits) if digits else 1
+
+    charge = 0
+    if cur.peek() in ("+", "-"):
+        sign = 1 if cur.take() == "+" else -1
+        digits = cur.take_digits()
+        if digits:
+            charge = sign * int(digits)
+        else:
+            charge = sign
+            while cur.peek() == ("+" if sign > 0 else "-"):
+                cur.take()
+                charge += sign
+
+    if cur.peek() == ":":  # atom class: accepted and discarded
+        cur.take()
+        if not cur.take_digits():
+            raise UnknownSymbol("atom class marker ':' without digits", cur.pos)
+
+    if cur.peek() != "]":
+        if not cur.peek():
+            raise UnterminatedBracket("bracket atom never closed", start)
+        raise UnknownSymbol(
+            f"unexpected {cur.peek()!r} inside bracket atom", cur.pos)
+    return Atom(
+        element=element,
+        aromatic=aromatic,
+        formal_charge=charge,
+        explicit_h_count=h_count,
+        isotope=isotope,
+        chirality=chirality,
+        in_bracket=True,
+    )

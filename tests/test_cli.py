@@ -422,6 +422,50 @@ def test_any_file_bytes_exit_cleanly(tmp_path, fixtures_dir, name, data):
     assert "Traceback" not in err.getvalue()
 
 
+# Key-set rows that once ended in a ValueError traceback (a digit int() does
+# not read, a run too long for it) or loaded as keys that can never match.
+# Ids may be zero-padded, and comment lines still count.
+@pytest.mark.parametrize("listing", [
+    "\u00b2\telement:C\n",
+    "0\tcount:C:\u00b2\n",
+    "0\tring-size:" + "9" * 5000 + "\n",
+    "1234567890\tring\n",
+    "0\tpath:C-C=O\n",
+    "00\tring\n# comment\n01\telement:Xx\n",
+    "0\tring\n1\tpath:c-c\n",
+], ids=["superscript-id", "superscript-count", "long-ring-size", "ten-digit-id",
+        "bond-in-path", "unknown-element", "aromatic-path"])
+def test_bad_keyset_exits_one_naming_the_line(capsys, tmp_path, fixtures_dir, listing):
+    path = tmp_path / "keys.tsv"
+    path.write_text(listing, encoding="utf-8")
+    code, out, err = run(capsys, "fingerprint", str(fixtures_dir / "valid_smiles.txt"),
+                         "--scheme", "keys", "--keyset", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path} line {listing.count(chr(10))}: ")
+
+
+@pytest.mark.parametrize("run_text", ["1" * 5000 + "C", "CH" + "9" * 5000, "C+" + "9" * 5000],
+                         ids=["isotope", "hcount", "charge"])
+def test_overlong_bracket_digit_run_is_an_invalid_row(capsys, tmp_path, run_text):
+    hypothesis = f"[{run_text}]"
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(
+        json.dumps({"id": "a", "reference": "CCO", "hypothesis": "CCO"}) + "\n"
+        + json.dumps({"id": "b", "reference": "CCO", "hypothesis": hypothesis}) + "\n")
+    code, out, err = run(capsys, "eval-i2d", str(preds), "--format", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["scores"]["validity"] == 0.5
+    assert report["skipped_invalid"] == 1
+
+    lines = tmp_path / "lines.txt"
+    lines.write_text(hypothesis + "\n")
+    code, out, _ = run(capsys, "validate", str(lines))
+    assert code == 0
+    assert out.splitlines()[-1] == "validity 0.0000 (0/1)"
+
+
 class TestArgumentErrors:
     def test_unknown_command_exits_two_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -166,6 +166,41 @@ class TestKeys:
               if fp.bits >> i & 1}
         assert "path:C-C-O" in on
 
+    def test_path_key_reversed_agrees_on_generated_molecules(self):
+        rng = random.Random(515)
+        for _ in range(300):
+            mol = parse_smiles(genmol.write_smiles(
+                genmol.random_molecule(rng, max_ring_bonds=4), rng=rng)[0])
+            present = sorted({atom.element for atom in mol.atoms})
+            for _ in range(5):
+                sequence = rng.choices(present, k=rng.randint(2, 5))
+                forward = KeyDescriptor.parse("path:" + "-".join(sequence))
+                backward = KeyDescriptor.parse("path:" + "-".join(sequence[::-1]))
+                assert forward.matches(mol) == backward.matches(mol), sequence
+
+    @pytest.mark.parametrize("text", [
+        "path:C-C=O",                 # a bond symbol is not an element
+        "path:c-c",                   # nor is an aromatic spelling
+        "element:Xx",
+        "count:Xx:2",
+        "count:C:\u00b2",              # a digit to str.isdigit, not to int()
+        "count:C:0",
+        "count:C:1234567890",
+        "ring-size:" + "1" * 5000,
+        "ring-size:2",
+        "path:C",
+        "path:C-",
+    ], ids=lambda text: text if len(text) < 20 else text[:12] + "...")
+    def test_descriptor_rejects_keys_that_never_match(self, text):
+        with pytest.raises(InputError):
+            KeyDescriptor.parse(text)
+
+    def test_descriptor_accepts_every_element_and_padded_numbers(self):
+        mol = parse_smiles("[Na+].[Cl-]")
+        assert KeyDescriptor.parse("element:Na").matches(mol)
+        assert KeyDescriptor.parse("count:Cl:001").matches(mol)
+        assert not KeyDescriptor.parse("path:Na-Cl").matches(mol)
+
     def test_keyset_load_and_digest(self, tmp_path, fixtures_dir):
         keyset = KeySet.load(fixtures_dir / "keyset_small.tsv")
         assert keyset.name == "keyset_small"

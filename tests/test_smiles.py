@@ -1,6 +1,8 @@
 """Parser, validator, and molecular property tests."""
 
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from evalkit.errors import (
     UnmatchedRingClosure,
     UnterminatedBracket,
 )
+from evalkit import smiles
 from evalkit.smiles import (
     BondOrder,
     Chirality,
@@ -29,6 +32,7 @@ from evalkit.smiles import (
 )
 
 import genmol
+import oracles
 
 
 class TestParsing:
@@ -382,3 +386,114 @@ def test_parse_is_deterministic(text):
     second = parse_smiles(text)
     assert first.atoms == second.atoms
     assert first.bonds == second.bonds
+
+
+class TestDigitRunBound:
+    """Isotope, hydrogen-count and charge digit runs are read up to nine
+    digits; a longer run is an unknown symbol at its tenth digit, however
+    long it is, so no run is ever converted into a huge number."""
+
+    @pytest.mark.parametrize("text,field,value", [
+        ("[123456789C]", "isotope", 123456789),
+        ("[CH123456789]", "explicit_h_count", 123456789),
+        ("[C+123456789]", "formal_charge", 123456789),
+        ("[C-000000009]", "formal_charge", -9),
+    ])
+    def test_nine_digits_parse(self, text, field, value):
+        assert getattr(parse_smiles(text).atoms[0], field) == value
+
+    @pytest.mark.parametrize("text,offset", [
+        ("[1234567890C]", 10),
+        ("[CH1234567890]", 12),
+        ("[C+1234567890]", 12),
+        ("C[C-0000000000]", 13),
+        ("[" + "1" * 5000 + "C]", 10),
+        ("[CH" + "9" * 5000 + "]", 12),
+        ("[C+" + "9" * 5000 + "]", 12),
+    ], ids=["isotope", "hcount", "charge", "negative", "isotope-5000", "hcount-5000",
+            "charge-5000"])
+    def test_ten_digits_rejected_at_the_tenth(self, text, offset):
+        with pytest.raises(UnknownSymbol) as info:
+            parse_smiles(text)
+        assert info.value.offset == offset
+        report = validate(text)
+        assert not report.parseable and not report.verdict
+
+    def test_atom_class_digits_are_not_bounded(self):
+        # the class is discarded, never converted, so any run is fine
+        assert parse_smiles("[CH3:" + "7" * 5000 + "]").atoms[0].explicit_h_count == 3
+
+
+# The alphabet of the random strings: every character the bracket grammar
+# uses, look-alikes it must reject, and multi-character symbols.
+_UNITS = tuple("[]CcNnOoSsHhe@+-:0123456789XxlrBFIPa#=()%.") + (
+    "Cl", "Br", "se", "as", "Hg", "Co", "Zn", "Na", "\u0661", "\u00c0", " ", "\n")
+_TEN_DIGITS = re.compile(r"[0-9]{10}")
+
+
+def _random_strings(seed: int, count: int) -> list[str]:
+    """Strings of 1-10 units, half of them opening with ``[``; none holds
+    a run of ten digits, where the two readers are meant to differ."""
+    rng = random.Random(seed)
+    out: list[str] = []
+    while len(out) < count:
+        units = rng.choices(_UNITS, k=rng.randint(1, 10))
+        if rng.random() < 0.5:
+            units[0] = "["
+        text = "".join(units)
+        if not _TEN_DIGITS.search(text):
+            out.append(text)
+    return out
+
+
+def _bracket_atoms_from_parts() -> list[str]:
+    """Every combination of valid and nearly valid bracket-atom parts."""
+    parts = (
+        ("", "0", "123456789"),
+        ("", "C", "c", "Cl", "se", "Hg", "H", "Xx", "l", "@"),
+        ("", "@", "@@", "@@@"),
+        ("", "H", "H0", "H12", "h"),
+        ("", "+", "-", "++", "--", "+2", "-123456789", "+1+"),
+        ("", ":", ":12", ":a", ":1:"),
+        ("]", "", "x]"),
+    )
+    return ["[" + "".join(combo) for combo in itertools.product(*parts)]
+
+
+def _outcomes(texts: list[str]) -> list[tuple]:
+    out = []
+    for text in texts:
+        try:
+            mol = parse_smiles(text)
+        except SmilesParseError as exc:
+            out.append((type(exc), str(exc), exc.offset))
+        else:
+            out.append((repr(mol.atoms), mol.bonds))
+    return out
+
+
+class TestBracketAtomAgainstCursor:
+    """The bracket-atom pattern reads every input exactly as the old
+    character-cursor reader (``oracles.bracket_atom_by_cursor``) did: the
+    same atoms and bonds, or the same error class, message and offset."""
+
+    def assert_same_as_cursor(self, texts, monkeypatch):
+        by_pattern = _outcomes(texts)
+        monkeypatch.setattr(smiles, "_bracket_atom", oracles.bracket_atom_by_cursor)
+        by_cursor = _outcomes(texts)
+        differences = [(text, new, old) for text, new, old
+                       in zip(texts, by_pattern, by_cursor) if new != old]
+        assert not differences, differences[:5]
+
+    def test_random_strings(self, monkeypatch):
+        self.assert_same_as_cursor(_random_strings(6, 50_000), monkeypatch)
+
+    def test_bracket_parts(self, monkeypatch):
+        self.assert_same_as_cursor(_bracket_atoms_from_parts(), monkeypatch)
+
+    def test_generated_molecules(self, monkeypatch):
+        rng = random.Random(606)
+        texts = [genmol.write_smiles(genmol.random_molecule(rng), rng=rng)[0]
+                 for _ in range(2000)]
+        assert sum("[" in text for text in texts) > 1000
+        self.assert_same_as_cursor(texts, monkeypatch)
