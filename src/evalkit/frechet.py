@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import gzip
 import math
+import re
+import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,31 +118,60 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     return max(distance, 0.0)
 
 
-def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, list[list[float]]]:
-    """Parse a ``D=<dim>`` vector file into (dim, rows).
+# ``D=`` and 1-9 ASCII digits, the digit rule of key ids and bracket atoms:
+# no header names a dimension too large to shape an array with.
+_DIM_HEADER = re.compile(r"D=[ \t]*([0-9]{1,9})[ \t]*")
 
-    Each data line must hold ``dim * row_multiplier`` space-separated floats
-    (paired-embedding files store two vectors per line).  Gzip-compressed
-    files are detected by magic number and decompressed.
+
+def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np.ndarray]:
+    """Parse a ``D=<dim>`` vector file into (dim, float64 rows).
+
+    Each data line must hold ``dim * row_multiplier`` whitespace-separated
+    floats (paired-embedding files store two vectors per line), read as
+    ``float()`` reads them; blank lines are skipped.  Gzip-compressed files
+    are detected by magic number and decompressed.
     """
     path = Path(path)
+    lines = _read_text(path).splitlines()
+    if not lines or not lines[0].startswith("D="):
+        raise InputError(f"{path}: first line must be 'D=<dim>'")
+    header = _DIM_HEADER.fullmatch(lines[0])
+    if header is None:
+        raise InputError(f"{path}: malformed dimension header {lines[0]!r}")
+    dim = int(header[1])
+    if dim < 1:
+        raise InputError(f"{path}: dimension must be positive")
+
+    expected = dim * row_multiplier
+    try:
+        with warnings.catch_warnings():
+            # A body with no data is not an error here: callers count rows.
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] != expected:
+        rows = np.array(_rows_by_line(path, lines, expected),
+                        dtype=np.float64).reshape(-1, expected)
+    return dim, rows
+
+
+def _read_text(path: Path) -> str:
+    """The file's text, gunzipped first when it starts with the gzip magic.
+    The bytes are freed on return, before the caller splits the text."""
     raw = path.read_bytes()
     if raw[:2] == b"\x1f\x8b":
         try:
             raw = gzip.decompress(raw)
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise InputError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
-    lines = read_utf8(path, raw).splitlines()
-    if not lines or not lines[0].startswith("D="):
-        raise InputError(f"{path}: first line must be 'D=<dim>'")
-    try:
-        dim = int(lines[0][2:])
-    except ValueError:
-        raise InputError(f"{path}: malformed dimension header {lines[0]!r}") from None
-    if dim < 1:
-        raise InputError(f"{path}: dimension must be positive")
+    return read_utf8(path, raw)
 
-    expected = dim * row_multiplier
+
+def _rows_by_line(path: Path, lines: list[str], expected: int) -> list[list[float]]:
+    """The rows ``np.loadtxt`` cannot give: this names the first bad line,
+    and reads what ``float()`` reads and NumPy does not (``1_0``, digits
+    of other scripts)."""
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -154,7 +185,7 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, li
         except ValueError:
             raise InputError(
                 f"{path} line {lineno}: non-numeric value") from None
-    return dim, rows
+    return rows
 
 
 def load_embeddings(path: str | Path) -> EmbeddingSet:
@@ -163,7 +194,7 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
     if len(rows) < 2:
         raise TooFewSamples(
             f"{path}: need at least 2 embedding rows, got {len(rows)}")
-    return EmbeddingSet(np.array(rows, dtype=np.float64), source_label=str(path))
+    return EmbeddingSet(rows, source_label=str(path))
 
 
 def fcd_from_files(path_a: str | Path, path_b: str | Path) -> float:

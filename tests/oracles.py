@@ -4,7 +4,8 @@ Each oracle recomputes a quantity the library also computes, via a visibly
 different route: full-table or list DP instead of bit-parallel words,
 copied search frames instead of packed ones, permutation enumeration
 instead of DFS, a hand-rolled Jacobi eigensolver instead of LAPACK, a
-character cursor instead of one bracket-atom pattern.  Tests compare the
+character cursor instead of one bracket-atom pattern, one ``float()`` call
+per value instead of NumPy's text reader.  Tests compare the
 two routes; the oracles must stay dumb and obvious rather than fast.
 """
 
@@ -15,7 +16,7 @@ import math
 from collections import Counter
 
 from evalkit.elements import AROMATIC_BRACKET, ELEMENTS
-from evalkit.errors import UnknownSymbol, UnterminatedBracket
+from evalkit.errors import InputError, UnknownSymbol, UnterminatedBracket
 from evalkit.smiles import Atom, Chirality
 
 
@@ -343,3 +344,24 @@ def bracket_atom_by_cursor(text: str, start: int) -> Atom:
         chirality=chirality,
         in_bracket=True,
     )
+
+
+def vector_rows_by_line(path, lines: list[str], expected: int) -> list[list[float]]:
+    """The data rows of an embedding file whose ``lines`` (header first)
+    come from ``str.splitlines``: blank lines skipped, every value read by
+    ``float()``, and the first line that is not ``expected`` numbers named
+    in an :class:`InputError`."""
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != expected:
+            raise InputError(
+                f"{path} line {lineno}: expected {expected} values, got {len(fields)}")
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            raise InputError(
+                f"{path} line {lineno}: non-numeric value") from None
+    return rows

@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -322,6 +323,26 @@ class TestHostileFiles:
         assert out == ""
         assert err.startswith("error:") and "overflows" in err
 
+    @pytest.mark.parametrize("body", ["", "\n \n\t\n"], ids=["header-only", "blank-only"])
+    @pytest.mark.parametrize("argv,message", [
+        (("fcd", "--embeddings-ref", "{path}", "--embeddings-hyp", "{path}"),
+         "{path}: need at least 2 embedding rows, got 0"),
+        (("eval-d2i", "{fixtures}/predictions_d2i_small.jsonl",
+          "--text2mol-embeddings", "{path}"),
+         "{path}: 0 embedding rows for 4 predictions"),
+    ], ids=["fcd", "text2mol"])
+    def test_empty_embedding_body_exits_one_without_warning(
+            self, capsys, tmp_path, fixtures_dir, argv, message, body):
+        path = tmp_path / "e.txt"
+        path.write_text("D=2\n" + body)
+        names = {"path": path, "fixtures": fixtures_dir}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message.format(**names)}\n"
+
     @pytest.mark.parametrize("value", ["1e200", "1e-200"])
     def test_extreme_text2mol_row_scores_finitely(self, capsys, tmp_path,
                                                    fixtures_dir, value):
@@ -392,6 +413,9 @@ FUZZED_FILES = {
                             "keys", "--keyset", "{path}"), "keyset_small.tsv"),
     "fcd": (("fcd", "--embeddings-ref", "{path}", "--embeddings-hyp",
              "{fixtures}/embeddings_hyp.txt"), "embeddings_ref.txt"),
+    "eval-i2d fcd": (("eval-i2d", "{fixtures}/predictions_i2d_small.jsonl",
+                      "--embeddings-ref", "{path}", "--embeddings-hyp",
+                      "{fixtures}/embeddings_hyp.txt"), "embeddings_ref.txt"),
     "render": (("render", "{path}"), "golden/d2i_small.json"),
 }
 

@@ -1,6 +1,7 @@
 """Frechet distance numerics and embedding file parsing tests."""
 
 import gzip
+import random
 
 import numpy as np
 import pytest
@@ -223,7 +224,100 @@ class TestVectorFiles:
         path.write_text("D=2\n1 2 3 4\n5 6 7 8\n")
         dim, rows = read_vector_rows(path, row_multiplier=2)
         assert dim == 2
-        assert rows == [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
+        assert rows.dtype == np.float64
+        assert rows.shape == (2, 4)
+        assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
+
+    @pytest.mark.parametrize("header,dim", [
+        ("D=8", 8), ("D= 8", 8), ("D=\t8 \t", 8), ("D=000000008", 8),
+        ("D=999999999", 999999999),
+    ])
+    def test_header_accepted(self, tmp_path, header, dim):
+        path = tmp_path / "e.txt"
+        path.write_text(header + "\n")
+        got, rows = read_vector_rows(path, row_multiplier=2)
+        assert got == dim
+        assert rows.shape == (0, 2 * dim)
+
+    # int() reads all but the last two of these.  The header takes 1-9
+    # ASCII digits, so no dimension is too large to shape an array with.
+    @pytest.mark.parametrize("header", [
+        "D=\u0661\u0662", "D=+8", "D=-8", "D=1_0", "D=\u00a08",
+        "D=" + "9" * 20, "D=1234567890", "D=", "D=8 x",
+    ])
+    def test_header_malformed(self, tmp_path, header):
+        path = tmp_path / "e.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(InputError, match="malformed dimension header"):
+            read_vector_rows(path)
+
+
+# Values, separators, line ends and blank lines, many of which float(),
+# str.split() and str.splitlines() treat differently from np.loadtxt.
+_NUMBERS = ["0", "-0", "1", "-2.5", ".5", "5.", "1e5", "1E-3", "1e999", "-1e-400",
+            "nan", "-nan", "+NaN", "inf", "-Infinity", "iNf"]
+_HOSTILE = ["1_0", "\u0661", "\u0661.5", "0x10", "'1'", '"2"', "#", "#1", "1,5",
+            "nan(1)", "\x00", "\ufeff1", "1d5", "--1", "e5", "\x001", "\u0e51"]
+_SPACES = [" ", " ", " ", "\t", "  ", "\xa0", "\u3000", "\x1f", "\u2003"]
+_LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+              "\x1e", "\x85", "\u2028", "\u2029"]
+_BLANKS = ["", " ", "\t", "\xa0", "\x1f", "\u3000"]
+
+
+def _hostile_body(rng: random.Random, expected: int) -> str:
+    lines = []
+    for _ in range(rng.randrange(6)):
+        if rng.random() < 0.15:
+            lines.append(rng.choice(_BLANKS))
+            continue
+        count = expected if rng.random() < 0.85 else rng.choice(
+            [max(expected - 1, 0), expected + 1])
+        fields = []
+        for _ in range(count):
+            roll = rng.random()
+            if roll < 0.5:
+                fields.append(repr(rng.uniform(-10, 10)))
+            elif roll < 0.92:
+                fields.append(rng.choice(_NUMBERS))
+            else:
+                fields.append(rng.choice(_HOSTILE))
+        line = rng.choice(_SPACES).join(fields)
+        if rng.random() < 0.2:
+            line = rng.choice(_SPACES) + line + rng.choice(_SPACES)
+        lines.append(line)
+    ends = [rng.choice(_LINE_ENDS) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def test_reader_agrees_with_line_oracle(tmp_path):
+    """``read_vector_rows`` against the per-line ``float()`` reader on
+    5,000 seeded files: equal bits, or an equal error class and message."""
+    rng = random.Random(47)
+    accepted = rejected = 0
+    for case in range(5000):
+        dim = rng.randint(1, 3)
+        row_multiplier = rng.choice((1, 2))
+        expected = dim * row_multiplier
+        text = f"D={dim}" + rng.choice(("\n", "\r\n")) + _hostile_body(rng, expected)
+        data = text.encode("utf-8")
+        path = tmp_path / ("e.gz" if case % 4 == 0 else "e.txt")
+        path.write_bytes(gzip.compress(data, mtime=0) if case % 4 == 0 else data)
+        try:
+            oracle = oracles.vector_rows_by_line(path, text.splitlines(), expected)
+        except InputError as exc:
+            with pytest.raises(type(exc)) as info:
+                read_vector_rows(path, row_multiplier)
+            assert str(info.value) == str(exc), text
+            rejected += 1
+            continue
+        got_dim, rows = read_vector_rows(path, row_multiplier)
+        want = np.array(oracle, dtype=np.float64).reshape(-1, expected)
+        assert got_dim == dim
+        assert rows.dtype == np.float64
+        assert rows.shape == want.shape, text
+        assert np.array_equal(rows.view(np.uint64), want.view(np.uint64)), text
+        accepted += 1
+    assert accepted > 1000 and rejected > 1000
 
 
 class TestFcdFromFiles:
@@ -245,6 +339,16 @@ class TestFcdFromFiles:
         b = write_embedding_file(tmp_path / "b.txt", [[1.0], [2.0]])
         with pytest.raises(DimensionMismatch):
             fcd_from_files(a, b)
+
+    def test_fixtures_equal_fcd_of_line_oracle_rows(self, fixtures_dir):
+        fits = []
+        for name in ("embeddings_ref.txt", "embeddings_hyp.txt"):
+            path = fixtures_dir / name
+            lines = path.read_text("utf-8").splitlines()
+            rows = oracles.vector_rows_by_line(path, lines, int(lines[0][2:]))
+            fits.append(gaussian_fit(EmbeddingSet(np.array(rows, dtype=np.float64))))
+        assert fcd_from_files(fixtures_dir / "embeddings_ref.txt",
+                              fixtures_dir / "embeddings_hyp.txt") == frechet_distance(*fits)
 
 
 finite_rows = arrays(

@@ -37,6 +37,8 @@ REPORTS = {
                             "--strict-validity"),
     "d2i_small": ("eval-d2i", "predictions_d2i_small.jsonl"),
     "d2i_long": ("eval-d2i", "predictions_d2i_long.jsonl"),
+    "d2i_small_t2m": ("eval-d2i", "predictions_d2i_small.jsonl",
+                      "--text2mol-embeddings", str(FIXTURES / "text2mol_small.txt")),
 }
 
 # golden file name -> CLI arguments
