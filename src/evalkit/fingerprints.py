@@ -11,8 +11,12 @@ Three schemes, all bit-exact across platforms because every hash is FNV-1a
 * ``path`` — all simple linear paths of 1 to ``max_path_bonds`` bonds
   (bonds and atoms both distinct within a path).  Each undirected path is
   enumerated once, and its descriptor is the lexicographically smaller of
-  its forward and reverse readings, built up entry by entry as the search
-  extends the path.
+  its forward and reverse readings.  The search reads a path as one int,
+  the base-K number of its entries' ranks, grown digit by digit as the
+  search extends the path; comparing two such ints compares the readings.
+  The hash of a reading is one step on from the hash of its prefix
+  ``code // K``, computed once per call, and one step is one multiply and
+  one lookup in a per-entry table of 256 states.
 * ``keys`` — a fixed list of named structural predicates; bit *k* is key
   *k*'s truth value.  Key sets are loadable from a text file.
 
@@ -26,7 +30,7 @@ import hashlib
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .elements import ELEMENTS
@@ -45,9 +49,9 @@ def fnv1a64(data: bytes) -> int:
 
 def _fnv1a64_extend(value: int, data: bytes) -> int:
     """FNV-1a state ``value`` after hashing ``data`` onto it."""
+    prime, mask = FNV_PRIME, _MASK64
     for byte in data:
-        value ^= byte
-        value = (value * FNV_PRIME) & _MASK64
+        value = ((value ^ byte) * prime) & mask
     return value
 
 
@@ -83,19 +87,15 @@ def _require_width(width: int) -> None:
         raise InputError(f"fingerprint width must be a power of two >= 4, got {width}")
 
 
-def _initial_invariants(mol: Molecule) -> list[int]:
-    invariants = []
-    for idx, atom in enumerate(mol.atoms):
-        payload = "|".join((
-            atom.element,
-            str(len(mol.neighbors[idx])),
-            str(atom.formal_charge),
-            str(mol.total_h(idx)),
-            str(int(atom.aromatic)),
-            str(int(mol.ring_atom_flags[idx])),
-        ))
-        invariants.append(fnv1a64(payload.encode("ascii")))
-    return invariants
+def _initial_payloads(mol: Molecule) -> list[bytes]:
+    return ["|".join((
+        atom.element,
+        str(len(mol.neighbors[idx])),
+        str(atom.formal_charge),
+        str(mol.total_h(idx)),
+        str(int(atom.aromatic)),
+        str(int(mol.ring_atom_flags[idx])),
+    )).encode("ascii") for idx, atom in enumerate(mol.atoms)]
 
 
 def morgan_fingerprint(mol: Molecule, radius: int = 2, width: int = 2048) -> Fingerprint:
@@ -105,32 +105,115 @@ def morgan_fingerprint(mol: Molecule, radius: int = 2, width: int = 2048) -> Fin
     two SMILES writings of the same molecule give identical bits.  Growing
     the radius only adds invariants: the radius-r bit set is a subset of the
     radius-(r+1) set for the same molecule and width.
+
+    An update payload is the atom's invariant as 8 big-endian bytes, then
+    per neighbour its bond code as one byte and its invariant as 8 bytes,
+    in ascending (code, invariant) order: the order of those 9-byte
+    strings.  Equal payloads are hashed once per call.
     """
     _require_width(width)
     if radius < 0:
         raise InputError("radius must be non-negative")
 
-    invariants = _initial_invariants(mol)
+    hashed: dict[bytes, int] = {}
+
+    def hash_all(payloads: list[bytes]) -> list[int]:
+        out = []
+        for payload in payloads:
+            value = hashed.get(payload)
+            if value is None:
+                value = hashed[payload] = fnv1a64(payload)
+            out.append(value)
+        return out
+
+    invariants = hash_all(_initial_payloads(mol))
     bits = 0
     for inv in invariants:
         bits |= 1 << (inv % width)
+    links = [[(bytes((bond.order.value,)), nbr) for nbr, bond in neighbors]
+             for neighbors in mol.neighbors]
     for _ in range(radius):
-        updated = []
-        for idx in range(len(mol.atoms)):
-            pairs = sorted(
-                (bond.order.value, invariants[nbr])
-                for nbr, bond in mol.neighbors[idx]
-            )
-            payload = invariants[idx].to_bytes(8, "big") + b"".join(
-                code.to_bytes(1, "big") + inv.to_bytes(8, "big")
-                for code, inv in pairs
-            )
-            updated.append(fnv1a64(payload))
-        invariants = updated
+        words = [inv.to_bytes(8, "big") for inv in invariants]
+        invariants = hash_all([
+            words[idx] + b"".join(sorted(code + words[nbr]
+                                         for code, nbr in links[idx]))
+            for idx in range(len(words))])
         for inv in invariants:
             bits |= 1 << (inv % width)
     return Fingerprint(bits, width, "morgan",
                        (("radius", radius), ("width", width)))
+
+
+def _path_codes(mol: Molecule, max_path_bonds: int) -> tuple[set[int], tuple[tuple, ...]]:
+    """Every simple path of 1..max_path_bonds bonds as one int, and the
+    entries that the int's digits name.
+
+    The molecule's distinct (element, aromatic flag, bond code) entries are
+    ranked in tuple order as 1..n and a reading is the base ``n + 1``
+    number of its entries' ranks, first entry most significant.  The two
+    readings of a path have as many digits as it has atoms, none of them
+    zero, so the smaller int is the lexicographically smaller reading, and
+    each int names exactly one sequence of entries.  Each undirected path
+    is read once, from its lower-numbered end atom; the depth-first search
+    keeps an explicit stack of O(depth x degree) frames.
+    """
+    atoms = mol.atoms
+    if max_path_bonds < 1 or not atoms:
+        return set(), ()
+    kinds = [(a.element, int(a.aromatic)) for a in atoms]
+    entries = {(*kind, 0) for kind in kinds}
+    entries.update((*kinds[idx], bond.order.value)
+                   for idx, neighbors in enumerate(mol.neighbors)
+                   for _, bond in neighbors)
+    ranked = tuple(sorted(entries))
+    rank = {entry: r for r, entry in enumerate(ranked, start=1)}
+    base = len(ranked) + 1
+    squared = base * base
+    ends = [rank[(*kind, 0)] for kind in kinds]
+    # Per atom, per neighbour: (neighbour, its bit, the ranks of this
+    # atom's and the neighbour's entry, each followed by the bond between
+    # them, and the last two digits of a forward reading that ends at the
+    # neighbour).
+    steps = []
+    for idx, neighbors in enumerate(mol.neighbors):
+        row = []
+        for nbr, bond in neighbors:
+            here = rank[(*kinds[idx], bond.order.value)]
+            there = rank[(*kinds[nbr], bond.order.value)]
+            row.append((nbr, 1 << nbr, here, there, here * base + ends[nbr]))
+        steps.append(row)
+    # A simple path has at most len(atoms) - 1 bonds, which also keeps
+    # ``limit`` small when max_path_bonds is huge.
+    limit = base ** min(max_path_bonds, len(atoms) - 1)
+
+    found: set[int] = set()
+    add = found.add
+    for start in range(len(atoms)):
+        # (end atom, atoms on the path as bits, forward reading without
+        # its last entry, backward reading, base ** digits of backward)
+        stack = [(start, 1 << start, 0, ends[start], base)]
+        while stack:
+            node, on_path, head, backward, power = stack.pop()
+            head_digits = head * squared
+            if power < limit:
+                longer = power * base
+                for nbr, bit, here, there, last_two in steps[node]:
+                    if on_path & bit:
+                        continue
+                    reverse = there * power + backward
+                    if nbr > start:
+                        forward = head_digits + last_two
+                        add(forward if forward <= reverse else reverse)
+                    stack.append((nbr, on_path | bit, head * base + here,
+                                  reverse, longer))
+            else:
+                # The longest paths: record them, extend none.
+                for nbr, bit, _, there, last_two in steps[node]:
+                    if nbr > start and not on_path & bit:
+                        forward = head_digits + last_two
+                        reverse = there * power + backward
+                        add(forward if forward <= reverse else reverse)
+    return found, ranked
 
 
 def enumerate_path_descriptors(mol: Molecule, max_path_bonds: int = 7) -> set[tuple]:
@@ -139,50 +222,17 @@ def enumerate_path_descriptors(mol: Molecule, max_path_bonds: int = 7) -> set[tu
     Paths repeat neither bonds nor atoms.  A descriptor lists the path's
     atoms as (element, aromatic flag, following-bond code) entries, the last
     with bond code 0; of the two reading directions the lexicographically
-    smaller one is kept.  Each undirected path is recorded once, from its
-    lower-numbered end atom.
+    smaller one is kept.
     """
-    if max_path_bonds < 1:
-        return set()
-    atoms = mol.atoms
-    # One shared tuple per distinct entry, so equal entries compare by
-    # identity when two readings are ordered.
-    entries: dict[tuple, tuple] = {}
-    ends = [entries.setdefault(key, key)
-            for key in ((a.element, int(a.aromatic), 0) for a in atoms)]
-    # Per atom, per neighbour: (neighbour, its bit, this atom's entry and
-    # the neighbour's entry, each followed by the bond between them).
-    steps = []
-    for idx, atom in enumerate(atoms):
-        row = []
-        for nbr, bond in mol.neighbors[idx]:
-            code = bond.order.value
-            other = atoms[nbr]
-            here = (atom.element, int(atom.aromatic), code)
-            there = (other.element, int(other.aromatic), code)
-            row.append((nbr, 1 << nbr, entries.setdefault(here, here),
-                        entries.setdefault(there, there)))
-        steps.append(row)
-
-    found: set[tuple] = set()
-    add = found.add
-    for start in range(len(atoms)):
-        # (end atom, atoms on the path as bits, forward reading without
-        # its last entry, backward reading)
-        stack = [(start, 1 << start, (), (ends[start],))]
-        while stack:
-            node, on_path, head, backward = stack.pop()
-            extend = len(backward) < max_path_bonds
-            for nbr, bit, here, there in steps[node]:
-                if on_path & bit:
-                    continue
-                forward_head = head + (here,)
-                reverse = (there,) + backward
-                if nbr > start:
-                    forward = forward_head + (ends[nbr],)
-                    add(forward if forward <= reverse else reverse)
-                if extend:
-                    stack.append((nbr, on_path | bit, forward_head, reverse))
+    codes, ranked = _path_codes(mol, max_path_bonds)
+    base = len(ranked) + 1
+    found = set()
+    for code in codes:
+        entries = []
+        while code:
+            code, digit = divmod(code, base)
+            entries.append(ranked[digit - 1])
+        found.add(tuple(reversed(entries)))
     return found
 
 
@@ -191,31 +241,62 @@ def _entry_bytes(entry: tuple) -> bytes:
     return f"{element},{aromatic},{bond_code}".encode("ascii")
 
 
+@cache
+def _step_table(piece: bytes) -> tuple[int, tuple[int, ...]]:
+    """``(multiplier, table)`` such that the FNV-1a state ``v`` after
+    hashing ``piece`` onto it is
+    ``((v >> 8) * multiplier + table[v & 255]) mod 2**64``.
+
+    Each byte is XORed into the low byte of the state only, so the upper
+    part ``(v >> 8) * 256`` is just multiplied by ``FNV_PRIME`` once per
+    byte, and the table holds the rest for each low byte.  Path hashing
+    asks for one table per entry string, so the cache holds at most
+    elements x aromatic flags x bond codes of them, about 11 KB each.
+    """
+    multiplier = (256 * pow(FNV_PRIME, len(piece), 1 << 64)) & _MASK64
+    return multiplier, tuple(_fnv1a64_extend(low, piece) for low in range(256))
+
+
 def path_fingerprint(mol: Molecule, max_path_bonds: int = 7, width: int = 2048) -> Fingerprint:
     """Linear-path fingerprint of ``mol``.
 
     Each descriptor sets bit ``h mod width``, where ``h`` is the FNV-1a
-    hash of its entries written ``e,a,b`` and joined by ``|``.  Descriptors
-    share prefixes, so the hash runs one entry at a time and each
-    (hash so far, next entry) step is computed once per call.
+    hash of its entries written ``e,a,b`` and joined by ``|``.  The hash
+    runs on the integer readings of :func:`_path_codes`: a reading's
+    prefix without its last entry is ``code // base``, so the hash of each
+    prefix is computed once per call, one step on from its own prefix's
+    hash.  A step hashes ``|e,a,b`` with one multiply and one lookup in
+    the entry's :func:`_step_table`.
     """
     _require_width(width)
     if max_path_bonds < 1:
         raise InputError("max_path_bonds must be at least 1")
-    first: dict[tuple, int] = {}
-    after: dict[tuple[int, tuple], int] = {}
+    codes, ranked = _path_codes(mol, max_path_bonds)
+    base = len(ranked) + 1
+    # hashes[code]: the hash of the reading ``code``, for prefixes; the
+    # one-entry readings are the ranks themselves.
+    hashes: dict[int, int] = {}
+    steps: list = [None]
+    for r, entry in enumerate(ranked, start=1):
+        text = _entry_bytes(entry)
+        hashes[r] = fnv1a64(text)
+        steps.append(_step_table(b"|" + text))
     bits = 0
-    for descriptor in enumerate_path_descriptors(mol, max_path_bonds):
-        head = descriptor[0]
-        value = first.get(head)
+    for code in codes:
+        prefix, last = divmod(code, base)
+        value = hashes.get(prefix)
         if value is None:
-            value = first[head] = fnv1a64(_entry_bytes(head))
-        for entry in descriptor[1:]:
-            key = (value, entry)
-            value = after.get(key)
-            if value is None:
-                value = after[key] = _fnv1a64_extend(
-                    key[0], b"|" + _entry_bytes(entry))
+            unhashed = [prefix]
+            prefix //= base
+            while (value := hashes.get(prefix)) is None:
+                unhashed.append(prefix)
+                prefix //= base
+            for prefix in reversed(unhashed):
+                multiplier, table = steps[prefix % base]
+                value = hashes[prefix] = (
+                    (value >> 8) * multiplier + table[value & 255]) & _MASK64
+        multiplier, table = steps[last]
+        value = ((value >> 8) * multiplier + table[value & 255]) & _MASK64
         bits |= 1 << (value % width)
     return Fingerprint(bits, width, "path",
                        (("max_path_bonds", max_path_bonds), ("width", width)))

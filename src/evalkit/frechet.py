@@ -20,6 +20,7 @@ import math
 import re
 import warnings
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,8 +75,11 @@ def gaussian_fit(embeddings: EmbeddingSet) -> GaussianStats:
     vectors = embeddings.vectors
     mean = vectors.mean(axis=0)
     centered = vectors - mean
-    covariance = centered.T @ centered / (vectors.shape[0] - 1)
-    covariance = (covariance + covariance.T) / 2.0
+    # A product that overflows leaves inf here and a non-finite distance in
+    # frechet_distance, which raises; NumPy's warning would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        covariance = centered.T @ centered / (vectors.shape[0] - 1)
+        covariance = (covariance + covariance.T) / 2.0
     return GaussianStats(mean=mean, covariance=covariance)
 
 
@@ -99,19 +103,22 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     if a.mean.shape != b.mean.shape:
         raise DimensionMismatch(
             f"gaussians of dimension {a.mean.shape[0]} vs {b.mean.shape[0]}")
-    diff = a.mean - b.mean
-    root_a = _psd_sqrt(a.covariance)
-    inner = root_a @ b.covariance @ root_a
-    inner = (inner + inner.T) / 2.0
-    try:
-        eigenvalues = np.linalg.eigvalsh(inner)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigendecomposition failed: {exc}") from exc
-    trace_root = np.sqrt(np.clip(eigenvalues, 0.0, None)).sum()
-    distance = (float(diff @ diff)
-                + float(np.trace(a.covariance))
-                + float(np.trace(b.covariance))
-                - 2.0 * float(trace_root))
+    # Overflow shows as a non-finite distance, checked below, instead of
+    # as NumPy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a.mean - b.mean
+        root_a = _psd_sqrt(a.covariance)
+        inner = root_a @ b.covariance @ root_a
+        inner = (inner + inner.T) / 2.0
+        try:
+            eigenvalues = np.linalg.eigvalsh(inner)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(f"eigendecomposition failed: {exc}") from exc
+        trace_root = np.sqrt(np.clip(eigenvalues, 0.0, None)).sum()
+        distance = (float(diff @ diff)
+                    + float(np.trace(a.covariance))
+                    + float(np.trace(b.covariance))
+                    - 2.0 * float(trace_root))
     if not math.isfinite(distance):
         raise NonFiniteInput(
             "the Frechet distance overflows: embedding values too large")
@@ -132,12 +139,14 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np
     are detected by magic number and decompressed.
     """
     path = Path(path)
-    lines = _read_text(path).splitlines()
-    if not lines or not lines[0].startswith("D="):
+    text = _read_text(path)
+    lines = _iter_lines(text)
+    first = next(lines, None)
+    if first is None or not first.startswith("D="):
         raise InputError(f"{path}: first line must be 'D=<dim>'")
-    header = _DIM_HEADER.fullmatch(lines[0])
+    header = _DIM_HEADER.fullmatch(first)
     if header is None:
-        raise InputError(f"{path}: malformed dimension header {lines[0]!r}")
+        raise InputError(f"{path}: malformed dimension header {first!r}")
     dim = int(header[1])
     if dim < 1:
         raise InputError(f"{path}: dimension must be positive")
@@ -147,18 +156,34 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np
         with warnings.catch_warnings():
             # A body with no data is not an error here: callers count rows.
             warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2)
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         rows = None
     if rows is None or rows.shape[1] != expected:
-        rows = np.array(_rows_by_line(path, lines, expected),
+        rows = np.array(_rows_by_line(path, text.splitlines(), expected),
                         dtype=np.float64).reshape(-1, expected)
     return dim, rows
 
 
+def _iter_lines(text: str, block: int = 1 << 16) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, a piece of about ``block``
+    characters at a time.  Each piece ends just after a ``\n``, and no line
+    break spans one, so the pieces split into the same lines.
+
+    The reader never holds every line of a large file at once: their freed
+    space, fragmented by whatever else is live, could not hold the arrays
+    that come next, so peak memory would hang on the heap's layout."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + block)
+        end = len(text) if cut < 0 else cut + 1
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def _read_text(path: Path) -> str:
     """The file's text, gunzipped first when it starts with the gzip magic.
-    The bytes are freed on return, before the caller splits the text."""
+    The bytes are freed on return, before the caller reads the lines."""
     raw = path.read_bytes()
     if raw[:2] == b"\x1f\x8b":
         try:

@@ -5,7 +5,9 @@ different route: full-table or list DP instead of bit-parallel words,
 copied search frames instead of packed ones, permutation enumeration
 instead of DFS, a hand-rolled Jacobi eigensolver instead of LAPACK, a
 character cursor instead of one bracket-atom pattern, one ``float()`` call
-per value instead of NumPy's text reader.  Tests compare the
+per value instead of NumPy's text reader, path readings as entry tuples
+hashed byte by byte instead of base-K integers hashed through step
+tables.  Tests compare the
 two routes; the oracles must stay dumb and obvious rather than fast.
 """
 
@@ -17,6 +19,7 @@ from collections import Counter
 
 from evalkit.elements import AROMATIC_BRACKET, ELEMENTS
 from evalkit.errors import InputError, UnknownSymbol, UnterminatedBracket
+from evalkit.fingerprints import FNV_OFFSET, FNV_PRIME, Fingerprint
 from evalkit.smiles import Atom, Chirality
 
 
@@ -365,3 +368,132 @@ def vector_rows_by_line(path, lines: list[str], expected: int) -> list[list[floa
             raise InputError(
                 f"{path} line {lineno}: non-numeric value") from None
     return rows
+
+
+# --- fingerprints on entry tuples --------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def _fnv1a64_extend(value: int, data: bytes) -> int:
+    """FNV-1a state ``value`` after hashing ``data`` onto it, a byte at a
+    time."""
+    for byte in data:
+        value ^= byte
+        value = (value * FNV_PRIME) & _MASK64
+    return value
+
+
+def _fnv1a64(data: bytes) -> int:
+    return _fnv1a64_extend(FNV_OFFSET, data)
+
+
+def path_descriptors_by_entry_tuples(mol, max_path_bonds: int = 7) -> set[tuple]:
+    """Canonical descriptors of every simple path of 1..max_path_bonds bonds.
+
+    Each undirected path is recorded once, from its lower-numbered end
+    atom; both readings are tuples of (element, aromatic flag, bond code)
+    entries grown as the search extends the path, and the smaller tuple is
+    kept.
+    """
+    if max_path_bonds < 1:
+        return set()
+    atoms = mol.atoms
+    entries: dict[tuple, tuple] = {}
+    ends = [entries.setdefault(key, key)
+            for key in ((a.element, int(a.aromatic), 0) for a in atoms)]
+    steps = []
+    for idx, atom in enumerate(atoms):
+        row = []
+        for nbr, bond in mol.neighbors[idx]:
+            code = bond.order.value
+            other = atoms[nbr]
+            here = (atom.element, int(atom.aromatic), code)
+            there = (other.element, int(other.aromatic), code)
+            row.append((nbr, 1 << nbr, entries.setdefault(here, here),
+                        entries.setdefault(there, there)))
+        steps.append(row)
+
+    found: set[tuple] = set()
+    add = found.add
+    for start in range(len(atoms)):
+        stack = [(start, 1 << start, (), (ends[start],))]
+        while stack:
+            node, on_path, head, backward = stack.pop()
+            extend = len(backward) < max_path_bonds
+            for nbr, bit, here, there in steps[node]:
+                if on_path & bit:
+                    continue
+                forward_head = head + (here,)
+                reverse = (there,) + backward
+                if nbr > start:
+                    forward = forward_head + (ends[nbr],)
+                    add(forward if forward <= reverse else reverse)
+                if extend:
+                    stack.append((nbr, on_path | bit, forward_head, reverse))
+    return found
+
+
+def _entry_bytes(entry: tuple) -> bytes:
+    element, aromatic, bond_code = entry
+    return f"{element},{aromatic},{bond_code}".encode("ascii")
+
+
+def path_fingerprint_by_entry_tuples(mol, max_path_bonds: int = 7,
+                                     width: int = 2048) -> Fingerprint:
+    """Linear-path fingerprint: each descriptor of
+    :func:`path_descriptors_by_entry_tuples` sets bit ``h mod width``, where
+    ``h`` is the FNV-1a hash of its entries written ``e,a,b`` and joined by
+    ``|``, with each (hash so far, next entry) step memoized per call."""
+    first: dict[tuple, int] = {}
+    after: dict[tuple[int, tuple], int] = {}
+    bits = 0
+    for descriptor in path_descriptors_by_entry_tuples(mol, max_path_bonds):
+        head = descriptor[0]
+        value = first.get(head)
+        if value is None:
+            value = first[head] = _fnv1a64(_entry_bytes(head))
+        for entry in descriptor[1:]:
+            key = (value, entry)
+            value = after.get(key)
+            if value is None:
+                value = after[key] = _fnv1a64_extend(
+                    key[0], b"|" + _entry_bytes(entry))
+        bits |= 1 << (value % width)
+    return Fingerprint(bits, width, "path",
+                       (("max_path_bonds", max_path_bonds), ("width", width)))
+
+
+def morgan_bits_by_payload_bytes(mol, radius: int, width: int) -> int:
+    """Morgan bits with every payload rebuilt from strings and bytes for
+    every atom at every radius, hashed byte by byte."""
+    invariants = []
+    for idx, atom in enumerate(mol.atoms):
+        payload = "|".join((
+            atom.element,
+            str(len(mol.neighbors[idx])),
+            str(atom.formal_charge),
+            str(mol.total_h(idx)),
+            str(int(atom.aromatic)),
+            str(int(mol.ring_atom_flags[idx])),
+        ))
+        invariants.append(_fnv1a64(payload.encode("ascii")))
+    bits = 0
+    for inv in invariants:
+        bits |= 1 << (inv % width)
+    for _ in range(radius):
+        updated = []
+        for idx in range(len(mol.atoms)):
+            pairs = sorted(
+                (bond.order.value, invariants[nbr])
+                for nbr, bond in mol.neighbors[idx]
+            )
+            payload = invariants[idx].to_bytes(8, "big") + b"".join(
+                code.to_bytes(1, "big") + inv.to_bytes(8, "big")
+                for code, inv in pairs
+            )
+            updated.append(_fnv1a64(payload))
+        invariants = updated
+        for inv in invariants:
+            bits |= 1 << (inv % width)
+    return bits

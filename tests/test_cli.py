@@ -314,14 +314,18 @@ class TestHostileFiles:
     @pytest.mark.parametrize("value", ["1e200", "1e153"])
     def test_overflowing_fcd_exits_one(self, capsys, tmp_path, value):
         # Finite values whose covariance (1e200) or Frechet product (1e153)
-        # overflows once gave "nan" with exit 0.
+        # overflows once gave "nan" with exit 0, and later NumPy warnings
+        # before the error line.
         path = tmp_path / "e.txt"
         path.write_text(f"D=2\n{value} 0\n0 {value}\n")
-        code, out, err = run(capsys, "fcd", "--embeddings-ref", str(path),
-                             "--embeddings-hyp", str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "fcd", "--embeddings-ref", str(path),
+                                 "--embeddings-hyp", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "overflows" in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("body", ["", "\n \n\t\n"], ids=["header-only", "blank-only"])
     @pytest.mark.parametrize("argv,message", [

@@ -12,6 +12,10 @@ from evalkit.fingerprints import (
     Fingerprint,
     KeyDescriptor,
     KeySet,
+    _entry_bytes,
+    _fnv1a64_extend,
+    _path_codes,
+    _step_table,
     enumerate_path_descriptors,
     fnv1a64,
     key_fingerprint,
@@ -39,6 +43,30 @@ class TestFnv1a64:
     def test_takes_bytes_only(self):
         with pytest.raises(TypeError):
             fnv1a64("foobar")
+
+
+def _fixture_drugs(fixtures_dir):
+    lines = (fixtures_dir / "drugs_smiles.txt").read_text().splitlines()
+    return [parse_smiles(line) for line in lines if line.strip()]
+
+
+# Bracket atoms of 36 elements in a chain whose bonds cycle through single,
+# double, triple and quadruple (some atoms charged), plus two aromatic rings
+# with bracket atoms: over 100 distinct path entries, so path readings are
+# ints of more than 64 bits.
+_WIDE_CHAIN = "".join(
+    ("" if i == 0 else "-=#$"[i % 4]) + f"[{symbol}{'+2' if i % 5 == 0 else ''}]"
+    for i, symbol in enumerate((
+        "Li", "Be", "Na", "Mg", "Al", "Si", "K", "Ca", "Ti", "V", "Cr", "Mn",
+        "Fe", "Co", "Ni", "Cu", "Zn", "Ga", "Ge", "Se", "Br", "Rb", "Sr", "Zr",
+        "Mo", "Ru", "Rh", "Pd", "Ag", "Sn", "Sb", "Te", "I", "Pt", "Au", "Hg")))
+WIDE_MOLECULES = (
+    _WIDE_CHAIN + ".c1cc[se][as]1.[se]1[se][as]([N+](=O)[O-])[as]c1",
+    # the same chain closed into rings, so entries repeat along many paths
+    _WIDE_CHAIN + "1" + "".join(
+        "-=#$"[i % 4] + f"[{symbol}-]" for i, symbol in enumerate(
+            ("B", "C", "N", "O", "P", "S", "Cl"))) + "1.[nH]1ccc2[se]ccc12",
+)
 
 
 class TestMorgan:
@@ -88,6 +116,20 @@ class TestMorgan:
         assert (morgan_fingerprint(parse_smiles("[NH4+]"), radius=0).bits
                 != morgan_fingerprint(parse_smiles("N"), radius=0).bits)
 
+    def test_bits_match_payload_bytes_oracle(self, fixtures_dir):
+        rng = random.Random(8191)
+        mols = _fixture_drugs(fixtures_dir) + [
+            parse_smiles(text) for text in WIDE_MOLECULES] + [
+            parse_smiles(genmol.write_smiles(
+                genmol.random_molecule(rng, max_ring_bonds=4), rng=rng)[0])
+            for _ in range(200)]
+        for mol in mols:
+            for radius in (0, 1, 2, 3):
+                for width in (256, 2048):
+                    assert (morgan_fingerprint(mol, radius, width).bits
+                            == oracles.morgan_bits_by_payload_bytes(
+                                mol, radius, width)), (mol.source, radius)
+
 
 class TestPath:
     def test_three_atom_chain(self):
@@ -125,6 +167,52 @@ class TestPath:
                         == oracles.path_descriptors_by_permutation(
                             mol, max_path_bonds)), (text, max_path_bonds)
         assert ringed >= 60   # rings give the most paths between two atoms
+
+    def test_integer_readings_match_entry_tuple_oracle(self, fixtures_dir):
+        """Descriptor sets and bits against the entry-tuple kernel, on drugs,
+        generated molecules and molecules whose readings pass 64 bits."""
+        rng = random.Random(4099)
+        generated = [
+            parse_smiles(genmol.write_smiles(
+                genmol.random_molecule(rng, max_ring_bonds=4), rng=rng)[0])
+            for _ in range(400)]
+        wide = [parse_smiles(text) for text in WIDE_MOLECULES]
+        for mol in wide:
+            codes, ranked = _path_codes(mol, 9)
+            assert len(ranked) + 1 > 64
+            assert max(codes) >> 64
+        for mol in _fixture_drugs(fixtures_dir) + generated + wide:
+            for max_path_bonds in (1, 2, 3, 5, 7, 9):
+                assert (enumerate_path_descriptors(mol, max_path_bonds)
+                        == oracles.path_descriptors_by_entry_tuples(
+                            mol, max_path_bonds)), (mol.source, max_path_bonds)
+                for width in (256, 2048):
+                    assert (path_fingerprint(mol, max_path_bonds, width)
+                            == oracles.path_fingerprint_by_entry_tuples(
+                                mol, max_path_bonds, width)), (
+                        mol.source, max_path_bonds, width)
+
+    def test_huge_max_path_bonds_is_capped_by_atom_count(self):
+        mol = parse_smiles("CCOC(=O)c1ccccc1")
+        assert (path_fingerprint(mol, max_path_bonds=10 ** 9).bits
+                == path_fingerprint(mol, max_path_bonds=len(mol.atoms)).bits)
+
+    def test_step_tables_of_fixture_entries(self, fixtures_dir):
+        """The cached table of every entry string the fixture drugs use
+        gives the byte loop's state for every low byte."""
+        states = random.Random(65537)
+        pieces = {b"|" + _entry_bytes(entry)
+                  for mol in _fixture_drugs(fixtures_dir)
+                  for entry in _path_codes(mol, 7)[1]}
+        assert len(pieces) >= 10
+        for piece in pieces:
+            multiplier, table = _step_table(piece)
+            assert table == tuple(_fnv1a64_extend(low, piece)
+                                  for low in range(256))
+            for _ in range(50):
+                value = states.getrandbits(64)
+                assert ((value >> 8) * multiplier + table[value & 255]) \
+                    & ((1 << 64) - 1) == _fnv1a64_extend(value, piece)
 
     def test_params_recorded(self):
         fp = path_fingerprint(parse_smiles("CC"), max_path_bonds=5, width=256)
@@ -316,6 +404,16 @@ class TestRerooting:
 
 
 bitvectors = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+@given(bitvectors, st.binary(max_size=32))
+@settings(max_examples=300)
+def test_fnv_step_table_identity(value, piece):
+    """One table lookup and one multiply equal the byte-by-byte FNV-1a loop:
+    the XOR only ever touches the low byte of the state."""
+    multiplier, table = _step_table.__wrapped__(piece)
+    assert (((value >> 8) * multiplier + table[value & 255]) & ((1 << 64) - 1)
+            == _fnv1a64_extend(value, piece))
 
 
 @given(bitvectors, bitvectors)

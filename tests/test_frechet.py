@@ -18,6 +18,7 @@ from evalkit.errors import (
 from evalkit.frechet import (
     EmbeddingSet,
     GaussianStats,
+    _iter_lines,
     fcd_from_files,
     frechet_distance,
     gaussian_fit,
@@ -318,6 +319,33 @@ def test_reader_agrees_with_line_oracle(tmp_path):
         assert np.array_equal(rows.view(np.uint64), want.view(np.uint64)), text
         accepted += 1
     assert accepted > 1000 and rejected > 1000
+
+
+@given(st.text(alphabet="ab \t\xa0" + "".join(_LINE_ENDS), max_size=60),
+       st.integers(min_value=0, max_value=8))
+@settings(max_examples=500)
+def test_lines_read_in_pieces_are_splitlines(text, block):
+    assert list(_iter_lines(text, block)) == text.splitlines()
+
+
+def test_reader_spanning_many_pieces_agrees_with_line_oracle(tmp_path):
+    """A file of about 0.5 MB, read in several pieces, with every kind of
+    line break and blank line between its rows."""
+    rng = random.Random(53)
+    rows = [[rng.uniform(-10, 10) for _ in range(8)] for _ in range(4000)]
+    parts = ["D=8\n"]
+    for row in rows:
+        parts.append(" ".join(repr(v) for v in row) + rng.choice(_LINE_ENDS))
+        if rng.random() < 0.05:
+            parts.append(rng.choice(_BLANKS) + rng.choice(_LINE_ENDS))
+    text = "".join(parts)
+    assert len(text) > 6 * (1 << 16)
+    path = tmp_path / "e.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    dim, got = read_vector_rows(path)
+    want = np.array(oracles.vector_rows_by_line(path, text.splitlines(), 8))
+    assert dim == 8
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestFcdFromFiles:
