@@ -61,6 +61,7 @@ from .textmetrics import (
     exact_match,
     levenshtein,
     meteor,
+    ngram_overlaps,
     rouge_l,
     rouge_n,
     tokenize_text,
@@ -91,8 +92,8 @@ __all__ = [
     "eval_d2i", "eval_i2d", "exact_match", "fcd_from_files", "fnv1a64",
     "frechet_distance", "gaussian_fit", "ingest", "key_fingerprint",
     "levenshtein", "load_embeddings", "load_predictions", "meteor",
-    "molecular_formula", "morgan_fingerprint", "parse_smiles",
-    "path_fingerprint", "render_report", "report_from_json", "rouge_l",
-    "rouge_n", "split", "stats", "strict_valence_ok", "tanimoto",
+    "molecular_formula", "morgan_fingerprint", "ngram_overlaps",
+    "parse_smiles", "path_fingerprint", "render_report", "report_from_json",
+    "rouge_l", "rouge_n", "split", "stats", "strict_valence_ok", "tanimoto",
     "tokenize", "tokenize_text", "validate", "write_jsonl",
 ]

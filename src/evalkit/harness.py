@@ -49,6 +49,7 @@ from .textmetrics import (
     exact_match,
     levenshtein,
     meteor,
+    ngram_overlaps,
     rouge_l,
     rouge_n,
 )
@@ -191,6 +192,7 @@ def eval_d2i(preds: PredictionFile,
     references = [row.reference for row in preds.rows]
     hypotheses = [row.hypothesis for row in preds.rows]
     corpus = CorpusPair.from_strings(references, hypotheses, TokenMode.WORD)
+    overlaps = ngram_overlaps(corpus, range(1, 5))
 
     text2mol = None
     if text2mol_embeddings is not None:
@@ -207,10 +209,10 @@ def eval_d2i(preds: PredictionFile,
                      if text2mol is not None else "not computed"),
     }
     return D2IReport(
-        bleu2=bleu(corpus, max_n=2),
-        bleu4=bleu(corpus, max_n=4),
-        rouge1=rouge_n(corpus, 1),
-        rouge2=rouge_n(corpus, 2),
+        bleu2=bleu(corpus, max_n=2, overlaps=overlaps),
+        bleu4=bleu(corpus, max_n=4, overlaps=overlaps),
+        rouge1=rouge_n(corpus, 1, overlaps=overlaps),
+        rouge2=rouge_n(corpus, 2, overlaps=overlaps),
         rouge_l=rouge_l(corpus),
         meteor=meteor(corpus),
         text2mol=text2mol,

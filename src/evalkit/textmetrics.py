@@ -83,42 +83,60 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(corpus: CorpusPair, max_n: int = 4, epsilon: float = BLEU_EPSILON) -> float:
+Overlaps = dict[int, tuple[tuple[int, int, int], ...]]
+
+
+def ngram_overlaps(corpus: CorpusPair, orders: Iterable[int]) -> Overlaps:
+    """Per n-gram order, per pair: (clipped overlap, hyp total, ref total).
+
+    The clipped overlap counts each hyp n-gram at most as often as the
+    reference holds it; the totals count n-grams with repeats.  Computing
+    them once lets BLEU at several orders and ROUGE-n share one count of
+    each pair's n-grams: pass the result to :func:`bleu` and
+    :func:`rouge_n` as ``overlaps``.
+    """
+    result: Overlaps = {}
+    for n in orders:
+        rows = []
+        for ref, hyp in zip(corpus.references, corpus.hypotheses):
+            ref_counts = _ngram_counts(ref, n)
+            hyp_counts = _ngram_counts(hyp, n)
+            rows.append((
+                sum(min(count, ref_counts[gram])
+                    for gram, count in hyp_counts.items()),
+                sum(hyp_counts.values()), sum(ref_counts.values())))
+        result[n] = tuple(rows)
+    return result
+
+
+def bleu(corpus: CorpusPair, max_n: int = 4, epsilon: float = BLEU_EPSILON,
+         overlaps: Overlaps | None = None) -> float:
     """Corpus BLEU with uniform n-gram weights and brevity penalty.
 
     Clipped n-gram matches and totals are pooled over the whole corpus
     before forming precisions.  A zero numerator is replaced by ``epsilon``
     (additive smoothing on the numerator only); a zero denominator, which
     occurs when every hypothesis is shorter than n, is floored at one.
+    ``overlaps``, from :func:`ngram_overlaps` over at least orders
+    1..max_n of this corpus, saves counting the n-grams again.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("BLEU over an empty corpus is undefined")
     if max_n < 1:
         raise InputError("max_n must be at least 1")
-
-    clipped = [0] * max_n
-    totals = [0] * max_n
-    hyp_len = 0
-    ref_len = 0
-    for ref, hyp in zip(corpus.references, corpus.hypotheses):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngram_counts(ref, n)
-            totals[n - 1] += sum(hyp_counts.values())
-            clipped[n - 1] += sum(
-                min(count, ref_counts[gram])
-                for gram, count in hyp_counts.items())
+    if overlaps is None:
+        overlaps = ngram_overlaps(corpus, range(1, max_n + 1))
 
     log_sum = 0.0
-    for n in range(max_n):
-        numerator = clipped[n] if clipped[n] > 0 else epsilon
-        precision = numerator / max(totals[n], 1)
+    for n in range(1, max_n + 1):
+        clipped = sum(row[0] for row in overlaps[n])
+        total = sum(row[1] for row in overlaps[n])
+        numerator = clipped if clipped > 0 else epsilon
+        precision = numerator / max(total, 1)
         log_sum += math.log(precision) / max_n
 
+    hyp_len = sum(map(len, corpus.hypotheses))
+    ref_len = sum(map(len, corpus.references))
     if hyp_len == 0:
         return 0.0
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
@@ -154,17 +172,19 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_n(corpus: CorpusPair, n: int) -> float:
-    """Mean per-pair ROUGE-n F1 (clipped n-gram overlap)."""
+def rouge_n(corpus: CorpusPair, n: int, overlaps: Overlaps | None = None) -> float:
+    """Mean per-pair ROUGE-n F1 (clipped n-gram overlap).
+
+    ``overlaps``, from :func:`ngram_overlaps` over order n of this
+    corpus, saves counting the n-grams again.
+    """
     if len(corpus) == 0:
         raise EmptyCorpus("ROUGE over an empty corpus is undefined")
+    if overlaps is None:
+        overlaps = ngram_overlaps(corpus, (n,))
     total = 0.0
-    for ref, hyp in zip(corpus.references, corpus.hypotheses):
-        ref_counts = _ngram_counts(ref, n)
-        hyp_counts = _ngram_counts(hyp, n)
-        overlap = sum(
-            min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
-        total += _f1(overlap, sum(hyp_counts.values()), sum(ref_counts.values()))
+    for overlap, hyp_total, ref_total in overlaps[n]:
+        total += _f1(overlap, hyp_total, ref_total)
     return total / len(corpus)
 
 
@@ -200,6 +220,16 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
     one; beyond the search budget the best alignment found so far wins.
     The search also stops once an alignment reaches :func:`_chunk_floor`:
     no alignment has fewer chunks, so the rest could not change the answer.
+
+    The budget counts nodes of the full search tree, memoized subtrees
+    included.  A node's subtree depends only on its state (position,
+    quota left, ref positions used, previous ref position), not on the
+    chunks so far, so a finished subtree's node count and fewest extra
+    chunks are kept per state.  A state met again whose count fits in the
+    budget left is charged that count and not searched again: the full
+    search would have popped all of it without stopping on the budget.
+    So the memo changes no result, only how often a subtree is walked;
+    some long pairs still end on the budget.
     """
     # Each token's remaining quota is a bit field of one int; field 0 is
     # never filled and stands for every hyp token the quota does not hold.
@@ -221,35 +251,78 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
 
     # later[pos]: occurrences of hyp[pos] after pos.  A token's quota only
     # shrinks, so while it is open every earlier occurrence was visited
-    # with it open, and later[pos] is what remains to fill it.
+    # with it open, and later[pos] is what remains to fill it.  No quota
+    # ever exceeds the token's free ref positions or its occurrences left
+    # in hyp, so every path ends at a leaf with the quota filled.
     later = [0] * len(hyp)
     seen: Counter = Counter()
     for pos in range(len(hyp) - 1, -1, -1):
         later[pos] = seen[hyp[pos]]
         seen[hyp[pos]] += 1
 
-    floor = _chunk_floor(ref, hyp, sum(match_quota.values()))
+    # A state packs into one int: used, pos, then prev + 2.  The quota
+    # left follows from used, as each ref position holds one token.
+    prev_bits = (len(ref) + 1).bit_length()
+    pos_bits = len(hyp).bit_length() + prev_bits
+
+    matches = sum(match_quota.values())
+    floor = _chunk_floor(ref, hyp, matches)
     best = math.inf
     budget = _METEOR_SEARCH_BUDGET
+    # State -> nodes in its subtree << extra_bits | the fewest chunks a
+    # leaf below it adds (at most matches).  Leaves are not kept.
+    extra_bits = matches.bit_length()
+    extra_mask = (1 << extra_bits) - 1
+    memo: dict[int, int] = {}
+    # Fewest chunks at a leaf since the innermost open subtree began.
+    low = math.inf
+    # Per open subtree: (state, chunks, budget before its root was
+    # charged, low outside it).  Its node count is the budget it used.
+    path: list[tuple] = []
     # Depth-first with an explicit stack, so a hypothesis of any length
     # fits.  A frame is a node: (hyp position, quota left, bitmask of ref
     # positions used, chunks so far, ref position matched at pos - 1 or
     # -2).  A match at r starts a chunk unless it follows that position.
-    # Children are pushed in reverse visiting order.
-    stack = [(0, quota, 0, 0, -2)]
+    # Children are pushed in reverse visiting order, above a None that
+    # closes their parent's subtree once they are all done.
+    stack: list = [(0, quota, 0, 0, -2)]
     while stack:
+        node = stack.pop()
+        if node is None:
+            state, chunks, start, outer = path.pop()
+            memo[state] = (start - budget) << extra_bits | low - chunks
+            if outer < low:
+                low = outer
+            continue
         if budget <= 0 and best < math.inf:
             break
         budget -= 1
-        pos, quota, used, chunks, prev = stack.pop()
+        pos, quota, used, chunks, prev = node
         if not quota:
+            if chunks < low:
+                low = chunks
             if chunks < best:
                 best = chunks
                 if best <= floor:
                     break
             continue
-        if pos >= len(hyp):
+        state = used << pos_bits | pos << prev_bits | prev + 2
+        entry = memo.get(state)
+        # The full search would pop all of a kept subtree that fits in
+        # the budget left, this node's unit already charged.
+        if entry is not None and (nodes := entry >> extra_bits) <= budget + 1:
+            budget -= nodes - 1
+            reached = chunks + (entry & extra_mask)
+            if reached < low:
+                low = reached
+            if reached < best:
+                best = reached
+                if best <= floor:
+                    break
             continue
+        path.append((state, chunks, budget + 1, low))
+        low = math.inf
+        stack.append(None)
         shift = shifts[pos]
         left = quota >> shift & field
         # Skipping an occurrence is allowed only if enough later
@@ -293,12 +366,19 @@ def meteor(corpus: CorpusPair) -> float:
     minimised over all maximal alignments, score F_mean*(1-penalty);
     zero when there are no matches.
 
-    The chunk search visits alignments in greedy-leftmost order and, past
-    ``_METEOR_SEARCH_BUDGET`` nodes, keeps the best one found.  It stops
-    early once an alignment has ``max(1, m - joins)`` chunks, where joins
-    is the clipped overlap of the hyp and ref bigram multisets: two pairs
-    share a chunk only across equal bigrams, each used at most once, so no
+    The chunk search is depth-first in greedy-leftmost order: each hyp
+    word tries its free ref occurrences left to right, and going unmatched
+    last, so the first alignment found is the greedy one.  Past
+    ``_METEOR_SEARCH_BUDGET`` (100,000) nodes of the full search tree it
+    keeps the best alignment found.  A subtree met again from the same
+    search state is not walked again, but its nodes are still charged to
+    the budget, so no score depends on that memo.  The search stops early
+    once an alignment has ``max(1, m - joins)`` chunks, where joins is the
+    clipped overlap of the hyp and ref bigram multisets: two pairs share a
+    chunk only across equal bigrams, each used at most once, so no
     alignment has fewer chunks and stopping there gives the same answer.
+    Some long pairs still end on the budget above that floor; their chunk
+    count may then exceed the true minimum.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("METEOR over an empty corpus is undefined")

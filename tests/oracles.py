@@ -7,8 +7,10 @@ instead of DFS, a hand-rolled Jacobi eigensolver instead of LAPACK, a
 character cursor instead of one bracket-atom pattern, one ``float()`` call
 per value instead of NumPy's text reader, path readings as entry tuples
 hashed byte by byte instead of base-K integers hashed through step
-tables.  Tests compare the
-two routes; the oracles must stay dumb and obvious rather than fast.
+tables, a chunk search that walks every node instead of one that keeps
+finished subtrees per state, n-gram ``Counter``s built per metric instead
+of once per pair.  Tests compare the two routes; the oracles must stay
+dumb and obvious rather than fast.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from evalkit.elements import AROMATIC_BRACKET, ELEMENTS
 from evalkit.errors import InputError, UnknownSymbol, UnterminatedBracket
 from evalkit.fingerprints import FNV_OFFSET, FNV_PRIME, Fingerprint
 from evalkit.smiles import Atom, Chirality
+from evalkit.textmetrics import _chunk_floor
 
 
 def levenshtein_full_table(a: str, b: str) -> int:
@@ -116,6 +119,140 @@ def meteor_min_chunks_dfs(ref, hyp, match_quota: dict, budget: int) -> int:
             stack.append((pos + 1, next_quota, used | {ref_pos},
                           pairs + [(pos, ref_pos)]))
     return int(best)
+
+
+def meteor_min_chunks_packed(ref, hyp, match_quota: dict, budget: int) -> int:
+    """METEOR's fewest-chunks search on packed frames, with no memo.
+
+    Fewest chunks over all maximal unigram alignments.  Exhaustive
+    depth-first search over which occurrences align, visited in
+    greedy-leftmost order so the first completed alignment is the greedy
+    one; beyond the search budget the best alignment found so far wins.
+    The search also stops once an alignment reaches :func:`_chunk_floor`:
+    no alignment has fewer chunks, so the rest could not change the answer.
+    Every node of the search tree is popped and charged one unit of
+    ``budget``, however often its state recurs.
+    """
+    # Each token's remaining quota is a bit field of one int; field 0 is
+    # never filled and stands for every hyp token the quota does not hold.
+    width = max(match_quota.values()).bit_length()
+    field = (1 << width) - 1
+    shift_of: dict[str, int] = {}
+    quota = 0
+    for i, (token, count) in enumerate(match_quota.items(), start=1):
+        shift_of[token] = i * width
+        quota |= count << i * width
+    shifts = [shift_of.get(token, 0) for token in hyp]
+
+    # Ref positions of each matched token, last first: the push order.
+    ref_positions: dict[str, list[int]] = {}
+    for pos in range(len(ref) - 1, -1, -1):
+        if ref[pos] in shift_of:
+            ref_positions.setdefault(ref[pos], []).append(pos)
+    candidates = [ref_positions.get(token, ()) for token in hyp]
+
+    # later[pos]: occurrences of hyp[pos] after pos.  A token's quota only
+    # shrinks, so while it is open every earlier occurrence was visited
+    # with it open, and later[pos] is what remains to fill it.
+    later = [0] * len(hyp)
+    seen: Counter = Counter()
+    for pos in range(len(hyp) - 1, -1, -1):
+        later[pos] = seen[hyp[pos]]
+        seen[hyp[pos]] += 1
+
+    floor = _chunk_floor(ref, hyp, sum(match_quota.values()))
+    best = math.inf
+    # Depth-first with an explicit stack, so a hypothesis of any length
+    # fits.  A frame is a node: (hyp position, quota left, bitmask of ref
+    # positions used, chunks so far, ref position matched at pos - 1 or
+    # -2).  A match at r starts a chunk unless it follows that position.
+    # Children are pushed in reverse visiting order.
+    stack = [(0, quota, 0, 0, -2)]
+    while stack:
+        if budget <= 0 and best < math.inf:
+            break
+        budget -= 1
+        pos, quota, used, chunks, prev = stack.pop()
+        if not quota:
+            if chunks < best:
+                best = chunks
+                if best <= floor:
+                    break
+            continue
+        if pos >= len(hyp):
+            continue
+        shift = shifts[pos]
+        left = quota >> shift & field
+        # Skipping an occurrence is allowed only if enough later
+        # occurrences remain to satisfy the quota.
+        if later[pos] >= left:
+            stack.append((pos + 1, quota, used, chunks, -2))
+        if not left:
+            continue
+        quota -= 1 << shift
+        for ref_pos in candidates[pos]:
+            if used >> ref_pos & 1:
+                continue
+            stack.append((pos + 1, quota, used | 1 << ref_pos,
+                          chunks + (ref_pos != prev + 1), ref_pos))
+    return int(best)
+
+
+def _counts(tokens, n: int) -> Counter:
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def bleu_by_counters(corpus, max_n: int, epsilon: float) -> float:
+    """Corpus BLEU, each pair's n-gram ``Counter``s built afresh per order.
+
+    Uniform n-gram weights and brevity penalty.  Clipped n-gram matches
+    and totals are pooled over the whole corpus before forming precisions.
+    A zero numerator is replaced by ``epsilon`` (additive smoothing on the
+    numerator only); a zero denominator, which occurs when every
+    hypothesis is shorter than n, is floored at one.
+    """
+    clipped = [0] * max_n
+    totals = [0] * max_n
+    hyp_len = 0
+    ref_len = 0
+    for ref, hyp in zip(corpus.references, corpus.hypotheses):
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            hyp_counts = _counts(hyp, n)
+            if not hyp_counts:
+                continue
+            ref_counts = _counts(ref, n)
+            totals[n - 1] += sum(hyp_counts.values())
+            clipped[n - 1] += sum(
+                min(count, ref_counts[gram])
+                for gram, count in hyp_counts.items())
+
+    log_sum = 0.0
+    for n in range(max_n):
+        numerator = clipped[n] if clipped[n] > 0 else epsilon
+        precision = numerator / max(totals[n], 1)
+        log_sum += math.log(precision) / max_n
+
+    if hyp_len == 0:
+        return 0.0
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return brevity * math.exp(log_sum)
+
+
+def rouge_n_by_counters(corpus, n: int) -> float:
+    """Mean per-pair ROUGE-n F1, the n-gram ``Counter``s built afresh."""
+    total = 0.0
+    for ref, hyp in zip(corpus.references, corpus.hypotheses):
+        ref_counts = _counts(ref, n)
+        hyp_counts = _counts(hyp, n)
+        overlap = sum(
+            min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
+        hyp_total = sum(hyp_counts.values())
+        ref_total = sum(ref_counts.values())
+        if hyp_total + ref_total:
+            total += 2 * overlap / (hyp_total + ref_total)
+    return total / len(corpus)
 
 
 def path_descriptors_by_permutation(mol, max_path_bonds: int) -> set[tuple]:

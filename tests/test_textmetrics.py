@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -13,12 +14,14 @@ from hypothesis import strategies as st
 from evalkit import textmetrics
 from evalkit.errors import EmptyCorpus, InputError, LengthMismatch
 from evalkit.textmetrics import (
+    BLEU_EPSILON,
     CorpusPair,
     TokenMode,
     bleu,
     exact_match,
     levenshtein,
     meteor,
+    ngram_overlaps,
     rouge_l,
     rouge_n,
     tokenize_text,
@@ -148,6 +151,30 @@ class TestRouge:
         assert rouge_n(pair(["a"], ["a"]), 2) == 0.0
 
 
+class TestNgramOverlaps:
+    """BLEU and ROUGE-n on shared overlaps against per-metric Counters."""
+
+    def test_random_corpora_match_counter_oracles(self):
+        rng = random.Random(2002)
+        for _ in range(80):
+            rows = rng.randrange(1, 6)
+            refs = [" ".join(rng.choice("abcd") for _ in range(rng.randrange(1, 12)))
+                    for _ in range(rows)]
+            hyps = [" ".join(rng.choice("abcd") for _ in range(rng.randrange(0, 12)))
+                    for _ in range(rows)]
+            corpus = pair(refs, hyps)
+            overlaps = ngram_overlaps(corpus, range(1, 5))
+            for n in range(1, 7):
+                expected = oracles.bleu_by_counters(corpus, n, BLEU_EPSILON)
+                assert bleu(corpus, max_n=n) == expected, corpus
+                if n <= 4:
+                    assert bleu(corpus, max_n=n, overlaps=overlaps) == expected
+                expected = oracles.rouge_n_by_counters(corpus, n)
+                assert rouge_n(corpus, n) == expected, corpus
+                if n <= 4:
+                    assert rouge_n(corpus, n, overlaps=overlaps) == expected
+
+
 class TestMeteor:
     def test_swap_hand_value(self):
         # "a b" vs "b a": perfect matching split into two chunks gives
@@ -232,26 +259,67 @@ def _random_pairs(seed, count, max_len):
     return pairs
 
 
+def _check_against_oracles(pairs, budget):
+    for ref, hyp in pairs:
+        quota = _quota(ref, hyp)
+        found = textmetrics._min_chunks(ref, hyp, quota)
+        assert found == oracles.meteor_min_chunks_packed(
+            ref, hyp, quota, budget), (ref, hyp)
+        assert found == oracles.meteor_min_chunks_dfs(
+            ref, hyp, quota, budget), (ref, hyp)
+
+
 class TestMeteorSearch:
-    """The chunk search against the copied-frame DFS it replaced."""
+    """The memoized chunk search against the packed search it replaced,
+    which walks every node, and the copied-frame DFS before that."""
 
     BUDGETS = (1, 2, 7, 50, 500, textmetrics._METEOR_SEARCH_BUDGET)
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_fixture_matches_dfs_oracle(self, budget, monkeypatch):
         monkeypatch.setattr(textmetrics, "_METEOR_SEARCH_BUDGET", budget)
-        for ref, hyp in _fixture_pairs():
-            quota = _quota(ref, hyp)
-            expected = oracles.meteor_min_chunks_dfs(ref, hyp, quota, budget)
-            assert textmetrics._min_chunks(ref, hyp, quota) == expected, (ref, hyp)
+        _check_against_oracles(_fixture_pairs(), budget)
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_random_pairs_match_dfs_oracle(self, budget, monkeypatch):
         monkeypatch.setattr(textmetrics, "_METEOR_SEARCH_BUDGET", budget)
-        for ref, hyp in _random_pairs(budget, 500, 10):
-            quota = _quota(ref, hyp)
-            expected = oracles.meteor_min_chunks_dfs(ref, hyp, quota, budget)
-            assert textmetrics._min_chunks(ref, hyp, quota) == expected, (ref, hyp)
+        _check_against_oracles(_random_pairs(budget, 500, 10), budget)
+
+    def test_every_small_budget_matches_oracles(self, monkeypatch):
+        # Few token types make many states recur, so a kept subtree is
+        # often met when its node count is just above, at or below the
+        # budget left.
+        rng = random.Random(300)
+        pairs = []
+        while len(pairs) < 12:
+            vocabulary = "abc"[:rng.randrange(1, 4)]
+            ref = [rng.choice(vocabulary) for _ in range(rng.randrange(1, 15))]
+            hyp = [rng.choice(vocabulary) for _ in range(rng.randrange(1, 15))]
+            if _quota(ref, hyp):
+                pairs.append((ref, hyp))
+        for budget in range(1, 301):
+            monkeypatch.setattr(textmetrics, "_METEOR_SEARCH_BUDGET", budget)
+            _check_against_oracles(pairs, budget)
+
+    @pytest.mark.parametrize("length, vocabulary", [(60, "ab"), (120, "abc")])
+    def test_hostile_shape_matches_packed_oracle(self, length, vocabulary):
+        # Long pairs over two or three words: the search tree is far
+        # larger than the budget, so the whole budget is spent, and the
+        # kept subtrees must stay small.
+        rng = random.Random(length)
+        ref = [rng.choice(vocabulary) for _ in range(length)]
+        hyp = [rng.choice(vocabulary) for _ in range(length)]
+        quota = _quota(ref, hyp)
+        tracemalloc.start()
+        try:
+            found = textmetrics._min_chunks(ref, hyp, quota)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = textmetrics._METEOR_SEARCH_BUDGET
+        assert found == oracles.meteor_min_chunks_packed(ref, hyp, quota, budget)
+        assert found > textmetrics._chunk_floor(ref, hyp, sum(quota.values()))
+        assert peak < 8 * 2**20
 
     def test_fixture_rows_end_above_the_floor(self):
         # A search that ends above the floor never stops early: it runs
