@@ -1,4 +1,8 @@
-"""Evaluation toolkit for drug/indication translation models."""
+"""Evaluation toolkit for drug/indication translation models.
+
+The names from :mod:`evalkit.frechet` are loaded on first use: that module
+is the only one that imports NumPy, and most commands never need it.
+"""
 
 from .dataset import (
     DatasetStats,
@@ -21,14 +25,6 @@ from .fingerprints import (
     morgan_fingerprint,
     path_fingerprint,
     tanimoto,
-)
-from .frechet import (
-    EmbeddingSet,
-    GaussianStats,
-    fcd_from_files,
-    frechet_distance,
-    gaussian_fit,
-    load_embeddings,
 )
 from .harness import (
     D2IReport,
@@ -97,3 +93,21 @@ __all__ = [
     "rouge_l", "rouge_n", "split", "stats", "strict_valence_ok", "tanimoto",
     "tokenize", "tokenize_text", "validate", "write_jsonl",
 ]
+
+# Public names that module __getattr__ resolves from evalkit.frechet.
+_FRECHET_NAMES = frozenset({
+    "EmbeddingSet", "GaussianStats", "fcd_from_files", "frechet_distance",
+    "gaussian_fit", "load_embeddings",
+})
+
+
+def __getattr__(name: str):
+    if name in _FRECHET_NAMES:
+        from . import frechet
+
+        return getattr(frechet, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _FRECHET_NAMES)

@@ -15,7 +15,6 @@ from . import dataset as ds
 from . import fingerprints as fp
 from . import harness
 from .errors import EvalkitError, InputError, NumericError, read_utf8
-from .frechet import fcd_from_files
 from .smiles import parse_smiles, validate
 from .tokenizer import tokenize
 
@@ -111,6 +110,14 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
         else:
             print(fp.key_fingerprint(mol, keyset).to_hex())
     return 0
+
+
+def fcd_from_files(path_a: str, path_b: str) -> float:
+    """:func:`evalkit.frechet.fcd_from_files`, imported on the first call so
+    that commands without FCD never load NumPy."""
+    from .frechet import fcd_from_files
+
+    return fcd_from_files(path_a, path_b)
 
 
 def _cmd_fcd(args: argparse.Namespace) -> int:

@@ -39,7 +39,6 @@ from .errors import (
     SchemaMismatch,
     TaskMismatch,
 )
-from .frechet import fcd_from_files, read_vector_rows
 from .smiles import validate
 from .textmetrics import (
     BLEU_EPSILON,
@@ -172,6 +171,8 @@ def _mean_paired_cosine(path: str | Path, n_rows: int) -> float:
     A zero vector has no direction; its pair contributes 0.  A NaN or
     infinite value raises :class:`NonFiniteInput`, as it does for FCD.
     """
+    from .frechet import read_vector_rows  # loads NumPy: embedding paths only
+
     dim, rows = read_vector_rows(path, row_multiplier=2)
     if len(rows) != n_rows:
         raise EmbeddingRowMismatch(
@@ -189,14 +190,15 @@ def eval_d2i(preds: PredictionFile,
              text2mol_embeddings: str | Path | None = None) -> D2IReport:
     """Score a drug→indication prediction file (word-level text metrics)."""
     _require_task(preds, Task.DRUG_TO_INDICATION)
+    # Embedding file first, as in eval_i2d.
+    text2mol = None
+    if text2mol_embeddings is not None:
+        text2mol = _mean_paired_cosine(text2mol_embeddings, len(preds))
+
     references = [row.reference for row in preds.rows]
     hypotheses = [row.hypothesis for row in preds.rows]
     corpus = CorpusPair.from_strings(references, hypotheses, TokenMode.WORD)
     overlaps = ngram_overlaps(corpus, range(1, 5))
-
-    text2mol = None
-    if text2mol_embeddings is not None:
-        text2mol = _mean_paired_cosine(text2mol_embeddings, len(preds))
 
     metadata = {
         "task": Task.DRUG_TO_INDICATION.value,
@@ -247,6 +249,21 @@ def eval_i2d(preds: PredictionFile,
     if (embeddings_ref is None) != (embeddings_hyp is None):
         raise InputError(
             "FCD needs both reference and hypothesis embedding files")
+
+    # The embedding files are read before the row metrics. A bad one then
+    # fails before the fingerprint work, and NumPy, imported by a process's
+    # first read, is loaded before this call's temporaries, not among them:
+    # loaded after the fingerprints, it left the peak RSS of some inputs
+    # about 20% higher, because malloc reused their freed space less well.
+    fcd = None
+    if embeddings_ref is not None and embeddings_hyp is not None:
+        from .frechet import fcd_from_files  # loads NumPy: embedding paths only
+
+        fcd = fcd_from_files(embeddings_ref, embeddings_hyp)
+
+    text2mol = None
+    if text2mol_embeddings is not None:
+        text2mol = _mean_paired_cosine(text2mol_embeddings, len(preds))
 
     references = [row.reference for row in preds.rows]
     hypotheses = [row.hypothesis for row in preds.rows]
@@ -299,14 +316,6 @@ def eval_i2d(preds: PredictionFile,
     skipped = len(preds) - used
     maccs_fts, rdk_fts, morgan_fts = (
         total / used if used else None for total in sums)
-
-    fcd = None
-    if embeddings_ref is not None and embeddings_hyp is not None:
-        fcd = fcd_from_files(embeddings_ref, embeddings_hyp)
-
-    text2mol = None
-    if text2mol_embeddings is not None:
-        text2mol = _mean_paired_cosine(text2mol_embeddings, len(preds))
 
     metadata = {
         "task": Task.INDICATION_TO_DRUG.value,

@@ -180,6 +180,8 @@ def rouge_n(corpus: CorpusPair, n: int, overlaps: Overlaps | None = None) -> flo
     """
     if len(corpus) == 0:
         raise EmptyCorpus("ROUGE over an empty corpus is undefined")
+    if n < 1:
+        raise InputError("n must be at least 1")
     if overlaps is None:
         overlaps = ngram_overlaps(corpus, (n,))
     total = 0.0

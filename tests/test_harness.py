@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from evalkit import harness, smiles
+from evalkit import fingerprints, harness, smiles
 from evalkit.errors import (
     DuplicateId,
     EmbeddingRowMismatch,
@@ -278,6 +278,20 @@ class TestEvalI2d:
                           text2mol_embeddings=fixtures_dir / "text2mol_small.txt")
         assert report.text2mol == 0.0
 
+    def test_bad_embedding_file_fails_before_fingerprints(self, i2d_preds,
+                                                          tmp_path, monkeypatch):
+        bad = tmp_path / "e.txt"
+        bad.write_text("no header\n")
+
+        def unexpected(*args):
+            raise AssertionError("fingerprint computed before the embedding read")
+
+        monkeypatch.setattr(fingerprints, "path_fingerprint", unexpected)
+        with pytest.raises(InputError):
+            eval_i2d(i2d_preds, embeddings_ref=bad, embeddings_hyp=bad)
+        with pytest.raises(InputError):
+            eval_i2d(i2d_preds, text2mol_embeddings=bad)
+
     def test_task_mismatch(self, d2i_preds):
         with pytest.raises(TaskMismatch):
             eval_i2d(d2i_preds)
@@ -328,6 +342,18 @@ class TestEvalD2i:
             d2i_preds,
             text2mol_embeddings=fixtures_dir / "text2mol_small.txt")
         assert report.text2mol == 0.0
+
+    def test_bad_embedding_file_fails_before_text_metrics(self, d2i_preds,
+                                                          tmp_path, monkeypatch):
+        bad = tmp_path / "e.txt"
+        bad.write_text("no header\n")
+
+        def unexpected(*args):
+            raise AssertionError("n-grams counted before the embedding read")
+
+        monkeypatch.setattr(harness, "ngram_overlaps", unexpected)
+        with pytest.raises(InputError):
+            eval_d2i(d2i_preds, text2mol_embeddings=bad)
 
     def test_task_mismatch(self, i2d_preds):
         with pytest.raises(TaskMismatch):

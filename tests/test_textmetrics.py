@@ -143,6 +143,15 @@ class TestRouge:
         corpus = pair(["a b", "c d"], ["a b", "x y"])
         assert rouge_n(corpus, 1) == 0.5
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "overlaps"])
+    def test_bad_n_rejected(self, n, shared):
+        # Unchecked, n = 0 scored 0.857 here (empty n-grams) and n = -1 0.667.
+        corpus = pair(["a b c"], ["x y"])
+        overlaps = ngram_overlaps(corpus, (n,)) if shared else None
+        with pytest.raises(InputError, match="n must be at least 1"):
+            rouge_n(corpus, n, overlaps=overlaps)
+
     def test_empty_hypothesis_scores_zero(self):
         assert rouge_n(pair(["a b"], [""]), 1) == 0.0
         assert rouge_l(pair(["a b"], [""])) == 0.0
