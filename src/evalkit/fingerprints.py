@@ -87,6 +87,16 @@ def _require_width(width: int) -> None:
         raise InputError(f"fingerprint width must be a power of two >= 4, got {width}")
 
 
+def _require_radius(radius: int) -> None:
+    if radius < 0:
+        raise InputError("radius must be non-negative")
+
+
+def _require_max_path(max_path_bonds: int) -> None:
+    if max_path_bonds < 1:
+        raise InputError("max_path_bonds must be at least 1")
+
+
 def _initial_payloads(mol: Molecule) -> list[bytes]:
     return ["|".join((
         atom.element,
@@ -112,8 +122,7 @@ def morgan_fingerprint(mol: Molecule, radius: int = 2, width: int = 2048) -> Fin
     strings.  Equal payloads are hashed once per call.
     """
     _require_width(width)
-    if radius < 0:
-        raise InputError("radius must be non-negative")
+    _require_radius(radius)
 
     hashed: dict[bytes, int] = {}
 
@@ -195,24 +204,19 @@ def _path_codes(mol: Molecule, max_path_bonds: int) -> tuple[set[int], tuple[tup
         while stack:
             node, on_path, head, backward, power = stack.pop()
             head_digits = head * squared
-            if power < limit:
-                longer = power * base
-                for nbr, bit, here, there, last_two in steps[node]:
-                    if on_path & bit:
-                        continue
-                    reverse = there * power + backward
-                    if nbr > start:
-                        forward = head_digits + last_two
-                        add(forward if forward <= reverse else reverse)
+            # A path ending at a neighbour is extended only below the cap.
+            extend = power < limit
+            longer = power * base
+            for nbr, bit, here, there, last_two in steps[node]:
+                if on_path & bit:
+                    continue
+                reverse = there * power + backward
+                if nbr > start:
+                    forward = head_digits + last_two
+                    add(forward if forward <= reverse else reverse)
+                if extend:
                     stack.append((nbr, on_path | bit, head * base + here,
                                   reverse, longer))
-            else:
-                # The longest paths: record them, extend none.
-                for nbr, bit, _, there, last_two in steps[node]:
-                    if nbr > start and not on_path & bit:
-                        forward = head_digits + last_two
-                        reverse = there * power + backward
-                        add(forward if forward <= reverse else reverse)
     return found, ranked
 
 
@@ -269,8 +273,7 @@ def path_fingerprint(mol: Molecule, max_path_bonds: int = 7, width: int = 2048) 
     the entry's :func:`_step_table`.
     """
     _require_width(width)
-    if max_path_bonds < 1:
-        raise InputError("max_path_bonds must be at least 1")
+    _require_max_path(max_path_bonds)
     codes, ranked = _path_codes(mol, max_path_bonds)
     base = len(ranked) + 1
     # hashes[code]: the hash of the reading ``code``, for prefixes; the

@@ -244,6 +244,11 @@ def eval_i2d(preds: PredictionFile,
     reference is graded only when its row's hypothesis parses.
     """
     _require_task(preds, Task.INDICATION_TO_DRUG)
+    # Checked here, not only where a molecule is fingerprinted, so a bad
+    # option fails the same way whether or not any SMILES parses.
+    fp._require_width(bits)
+    fp._require_radius(radius)
+    fp._require_max_path(max_path_bonds)
     if keyset is None:
         keyset = fp.DEFAULT_KEYSET
     if (embeddings_ref is None) != (embeddings_hyp is None):
@@ -421,15 +426,25 @@ def render_report(report: D2IReport | I2DReport, format: str = "table") -> str:
     raise InputError(f"unknown format {format!r}; choose table, csv, or json")
 
 
+def _finite(text: str) -> float:
+    # Reads every JSON float and constant: NaN, Infinity and literals
+    # such as 1e999 that overflow to infinity are not finite numbers.
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaMismatch(f"report JSON holds {text}, which is not a finite number")
+    return value
+
+
 def report_from_json(text: str) -> D2IReport | I2DReport:
     """Rebuild a report from its JSON rendering (used by the render command).
 
     The report must be an object whose ``scores`` object holds a finite
     number or null for every score column and whose ``metadata`` object
-    names the report's task; anything else raises :class:`SchemaMismatch`.
+    names the report's task; anything else, including a ``NaN`` or
+    ``Infinity`` anywhere in it, raises :class:`SchemaMismatch`.
     """
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaMismatch(f"report is not valid JSON: {exc}") from exc
     scores = payload.get("scores") if isinstance(payload, dict) else None
@@ -444,7 +459,7 @@ def report_from_json(text: str) -> D2IReport | I2DReport:
             for f in fields(report_type)}
     except (KeyError, ValueError) as exc:
         raise SchemaMismatch(f"report JSON missing fields: {exc}") from exc
-    # The magnitude test also rejects NaN, infinities and too large ints.
+    # The magnitude test rejects ints too large for a float.
     not_numbers = [attr for _, attr in _columns(report_type)
                    if values[attr] is not None
                    and not (type(values[attr]) in (int, float)

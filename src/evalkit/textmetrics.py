@@ -218,52 +218,50 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
     """Fewest chunks over all maximal unigram alignments.
 
     Exhaustive depth-first search over which occurrences align, visited in
-    greedy-leftmost order so the first completed alignment is the greedy
-    one; beyond the search budget the best alignment found so far wins.
+    greedy-leftmost order: each hyp word tries its free ref occurrences
+    left to right, and going unmatched last, so the first completed
+    alignment is the greedy one.  Beyond ``_METEOR_SEARCH_BUDGET`` nodes
+    the best alignment found so far wins.
     The search also stops once an alignment reaches :func:`_chunk_floor`:
     no alignment has fewer chunks, so the rest could not change the answer.
 
     The budget counts nodes of the full search tree, memoized subtrees
-    included.  A node's subtree depends only on its state (position,
-    quota left, ref positions used, previous ref position), not on the
-    chunks so far, so a finished subtree's node count and fewest extra
-    chunks are kept per state.  A state met again whose count fits in the
-    budget left is charged that count and not searched again: the full
-    search would have popped all of it without stopping on the budget.
-    So the memo changes no result, only how often a subtree is walked;
-    some long pairs still end on the budget.
+    included.  A node's subtree depends only on its state (position, ref
+    positions used, previous ref position), not on the chunks so far, so
+    a finished subtree's node count and fewest extra chunks are kept per
+    state.  A state met again whose count fits in the budget left is
+    charged that count and not searched again: the full search would have
+    popped all of it without stopping on the budget.  So the memo changes
+    no result, only how often a subtree is walked; some long pairs still
+    end on the budget.
     """
-    # Each token's remaining quota is a bit field of one int; field 0 is
-    # never filled and stands for every hyp token the quota does not hold.
-    width = max(match_quota.values()).bit_length()
-    field = (1 << width) - 1
-    shift_of: dict[str, int] = {}
-    quota = 0
-    for i, (token, count) in enumerate(match_quota.items(), start=1):
-        shift_of[token] = i * width
-        quota |= count << i * width
-    shifts = [shift_of.get(token, 0) for token in hyp]
-
     # Ref positions of each matched token, last first: the push order.
     ref_positions: dict[str, list[int]] = {}
     for pos in range(len(ref) - 1, -1, -1):
-        if ref[pos] in shift_of:
+        if ref[pos] in match_quota:
             ref_positions.setdefault(ref[pos], []).append(pos)
+    mask_of = {token: sum(1 << pos for pos in positions)
+               for token, positions in ref_positions.items()}
     candidates = [ref_positions.get(token, ()) for token in hyp]
+    # Per hyp position: the token's quota (0 when it has none) and its ref
+    # positions as one bitmask.  Each ref position holds one token, so the
+    # matches a token has made are its bits in ``used``.
+    need = [match_quota.get(token, 0) for token in hyp]
+    masks = [mask_of.get(token, 0) for token in hyp]
 
-    # later[pos]: occurrences of hyp[pos] after pos.  A token's quota only
-    # shrinks, so while it is open every earlier occurrence was visited
-    # with it open, and later[pos] is what remains to fill it.  No quota
-    # ever exceeds the token's free ref positions or its occurrences left
-    # in hyp, so every path ends at a leaf with the quota filled.
+    # later[pos]: occurrences of hyp[pos] after pos.  A token's matches
+    # left only shrink, so while some are left every earlier occurrence
+    # was visited with some left, and later[pos] is what remains to make
+    # them.  No quota ever exceeds the token's free ref positions or its
+    # occurrences left in hyp, so every path ends at a leaf, a node with
+    # every match made.
     later = [0] * len(hyp)
     seen: Counter = Counter()
     for pos in range(len(hyp) - 1, -1, -1):
         later[pos] = seen[hyp[pos]]
         seen[hyp[pos]] += 1
 
-    # A state packs into one int: used, pos, then prev + 2.  The quota
-    # left follows from used, as each ref position holds one token.
+    # A state packs into one int: used, pos, then prev + 2.
     prev_bits = (len(ref) + 1).bit_length()
     pos_bits = len(hyp).bit_length() + prev_bits
 
@@ -282,12 +280,12 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
     # charged, low outside it).  Its node count is the budget it used.
     path: list[tuple] = []
     # Depth-first with an explicit stack, so a hypothesis of any length
-    # fits.  A frame is a node: (hyp position, quota left, bitmask of ref
-    # positions used, chunks so far, ref position matched at pos - 1 or
-    # -2).  A match at r starts a chunk unless it follows that position.
+    # fits.  A frame is a node: (hyp position, bitmask of ref positions
+    # used, chunks so far, ref position matched at pos - 1 or -2).  A
+    # match at r starts a chunk unless it follows that position.
     # Children are pushed in reverse visiting order, above a None that
     # closes their parent's subtree once they are all done.
-    stack: list = [(0, quota, 0, 0, -2)]
+    stack: list = [(0, 0, 0, -2)]
     while stack:
         node = stack.pop()
         if node is None:
@@ -299,46 +297,39 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
         if budget <= 0 and best < math.inf:
             break
         budget -= 1
-        pos, quota, used, chunks, prev = node
-        if not quota:
-            if chunks < low:
-                low = chunks
-            if chunks < best:
-                best = chunks
-                if best <= floor:
-                    break
-            continue
-        state = used << pos_bits | pos << prev_bits | prev + 2
-        entry = memo.get(state)
-        # The full search would pop all of a kept subtree that fits in
-        # the budget left, this node's unit already charged.
-        if entry is not None and (nodes := entry >> extra_bits) <= budget + 1:
+        pos, used, chunks, prev = node
+        if used.bit_count() == matches:
+            # A leaf is a kept subtree of one node that adds no chunks.
+            reached = chunks
+        else:
+            state = used << pos_bits | pos << prev_bits | prev + 2
+            entry = memo.get(state)
+            # The full search would pop all of a kept subtree that fits
+            # in the budget left, this node's unit already charged.
+            if entry is None or (nodes := entry >> extra_bits) > budget + 1:
+                path.append((state, chunks, budget + 1, low))
+                low = math.inf
+                stack.append(None)
+                left = need[pos] - (used & masks[pos]).bit_count()
+                # Skipping an occurrence is allowed only if enough later
+                # occurrences remain to make the matches left.
+                if later[pos] >= left:
+                    stack.append((pos + 1, used, chunks, -2))
+                if left:
+                    for ref_pos in candidates[pos]:
+                        if not used >> ref_pos & 1:
+                            stack.append((pos + 1, used | 1 << ref_pos,
+                                          chunks + (ref_pos != prev + 1),
+                                          ref_pos))
+                continue
             budget -= nodes - 1
             reached = chunks + (entry & extra_mask)
-            if reached < low:
-                low = reached
-            if reached < best:
-                best = reached
-                if best <= floor:
-                    break
-            continue
-        path.append((state, chunks, budget + 1, low))
-        low = math.inf
-        stack.append(None)
-        shift = shifts[pos]
-        left = quota >> shift & field
-        # Skipping an occurrence is allowed only if enough later
-        # occurrences remain to satisfy the quota.
-        if later[pos] >= left:
-            stack.append((pos + 1, quota, used, chunks, -2))
-        if not left:
-            continue
-        quota -= 1 << shift
-        for ref_pos in candidates[pos]:
-            if used >> ref_pos & 1:
-                continue
-            stack.append((pos + 1, quota, used | 1 << ref_pos,
-                          chunks + (ref_pos != prev + 1), ref_pos))
+        if reached < low:
+            low = reached
+        if reached < best:
+            best = reached
+            if best <= floor:
+                break
     return int(best)
 
 
@@ -368,19 +359,13 @@ def meteor(corpus: CorpusPair) -> float:
     minimised over all maximal alignments, score F_mean*(1-penalty);
     zero when there are no matches.
 
-    The chunk search is depth-first in greedy-leftmost order: each hyp
-    word tries its free ref occurrences left to right, and going unmatched
-    last, so the first alignment found is the greedy one.  Past
-    ``_METEOR_SEARCH_BUDGET`` (100,000) nodes of the full search tree it
-    keeps the best alignment found.  A subtree met again from the same
-    search state is not walked again, but its nodes are still charged to
-    the budget, so no score depends on that memo.  The search stops early
-    once an alignment has ``max(1, m - joins)`` chunks, where joins is the
-    clipped overlap of the hyp and ref bigram multisets: two pairs share a
-    chunk only across equal bigrams, each used at most once, so no
-    alignment has fewer chunks and stopping there gives the same answer.
-    Some long pairs still end on the budget above that floor; their chunk
-    count may then exceed the true minimum.
+    The chunk minimum comes from a search (:func:`_min_chunks`) that
+    stops after ``_METEOR_SEARCH_BUDGET`` (100,000) nodes of the full
+    search tree and keeps the best alignment found.  Subtrees it does not
+    walk again are still charged to that budget, so no score depends on
+    its memo.  Some long pairs end on the budget; their chunk count may
+    then exceed the true minimum, and their METEOR fall below the exact
+    value.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("METEOR over an empty corpus is undefined")

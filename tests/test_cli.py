@@ -4,6 +4,7 @@ import io
 import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from evalkit.cli import main
 from evalkit.errors import EigenFailure
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(capsys, *argv):
@@ -240,6 +243,23 @@ class TestEvalCommands:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("hypothesis", ["CCO", "C1"], ids=["parses", "unparseable"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--bits", "3", "fingerprint width must be a power of two >= 4, got 3"),
+        ("--radius", "-1", "radius must be non-negative"),
+        ("--max-path", "0", "max_path_bonds must be at least 1"),
+    ], ids=["bits", "radius", "max-path"])
+    def test_eval_i2d_bad_fingerprint_option_exits_one(self, capsys, tmp_path,
+                                                       flag, value, message,
+                                                       hypothesis):
+        # The exit code must not depend on whether any hypothesis parses.
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps(
+            {"id": "a", "reference": "CCO", "hypothesis": hypothesis}) + "\n")
+        code, out, err = run(capsys, "eval-i2d", str(preds), flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_eval_d2i_csv(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "eval-d2i",
                            str(fixtures_dir / "predictions_d2i_small.jsonl"),
@@ -387,12 +407,21 @@ class TestHostileFiles:
         assert out == ""
         assert err.startswith(f"error: {bad}: not UTF-8 text")
 
-    @pytest.mark.parametrize("text", ["[]", '{"task": "indication_to_drug", "scores": 5}'])
+    GOLDEN_I2D = (FIXTURES / "golden" / "i2d_small.json").read_text()
+
+    @pytest.mark.parametrize("text", [
+        "[]", '{"task": "indication_to_drug", "scores": 5}',
+        pytest.param(GOLDEN_I2D.replace('"rows": 5,', '"rows": NaN,', 1),
+                     id="rows-nan"),
+        pytest.param(GOLDEN_I2D.replace('"fcd": "not computed"', '"fcd": Infinity'),
+                     id="metadata-infinity"),
+    ])
     def test_render_non_report_json_exits_one(self, capsys, tmp_path, text):
         path = tmp_path / "r.json"
         path.write_text(text)
-        code, _, err = run(capsys, "render", str(path))
+        code, out, err = run(capsys, "render", str(path), "--format", "json")
         assert code == 1
+        assert out == ""
         assert err.startswith("error:")
 
 

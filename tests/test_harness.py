@@ -430,10 +430,16 @@ class TestRendering:
             ("scores", dict(good["scores"], bleu=10 ** 400)),
             ("metadata", []),
             ("metadata", {}),
+            ("rows", float("nan")),
+            ("metadata", dict(good["metadata"], fcd=float("inf"))),
+            ("skipped_invalid", -float("inf")),
         ]
         for key, value in damaged:
             with pytest.raises(SchemaMismatch):
                 report_from_json(json.dumps(dict(good, **{key: value})))
+        # A float literal too large for a double reads as infinity.
+        with pytest.raises(SchemaMismatch):
+            report_from_json(json.dumps(good).replace('"rows": 5', '"rows": 1e999', 1))
         assert report_from_json(json.dumps(good)) == eval_i2d(i2d_preds)
 
     def test_report_from_json_missing_score_raises_schema_mismatch(
