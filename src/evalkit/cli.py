@@ -97,6 +97,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
+    # The scheme's options are checked before any line is read, so the exit
+    # code does not depend on the input.
+    if args.scheme == "morgan":
+        fp._require_width(args.bits)
+        fp._require_radius(args.radius)
+    elif args.scheme == "path":
+        fp._require_width(args.bits)
+        fp._require_max_path(args.max_path)
     keyset = fp.KeySet.load(args.keyset) if args.keyset else fp.DEFAULT_KEYSET
     for lineno, line in enumerate(_read_lines(args.path), start=1):
         try:

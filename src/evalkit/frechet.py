@@ -5,6 +5,13 @@ files.  The file format is one header line ``D=<dim>`` followed by one
 space-separated vector per line.  Files whose first two bytes are the gzip
 magic number are decompressed transparently.
 
+A file is read in 16 KiB pieces and never held whole; only a file the
+pieces do not parse (a fault, or values only ``float()`` reads) is read
+again as one text, a line at a time, to name the fault or read those
+values.  :func:`fcd_from_files` fits each file's Gaussian in the array it
+read and frees that array before reading the next file, so it holds one
+matrix at a time, plus the covariances.
+
     d^2 = ||mu_a - mu_b||^2 + Tr(S_a) + Tr(S_b) - 2 Tr((S_a^1/2 S_b S_a^1/2)^1/2)
 
 Matrix square roots come from symmetric eigendecomposition with negative
@@ -15,14 +22,17 @@ the distance overflows raise :class:`NonFiniteInput`.
 
 from __future__ import annotations
 
+import codecs
 import gzip
+import io
 import math
 import re
 import warnings
 import zlib
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -70,11 +80,18 @@ class GaussianStats:
     covariance: np.ndarray
 
 
-def gaussian_fit(embeddings: EmbeddingSet) -> GaussianStats:
-    """Column means and the (N-1)-normalised covariance, symmetrised."""
+def gaussian_fit(embeddings: EmbeddingSet, *,
+                 overwrite_input: bool = False) -> GaussianStats:
+    """Column means and the (N-1)-normalised covariance, symmetrised.
+
+    The rows are centred in a copy, or, with ``overwrite_input``, in
+    ``embeddings.vectors`` itself, which saves a matrix of memory and
+    leaves the set holding the centred rows."""
     vectors = embeddings.vectors
     mean = vectors.mean(axis=0)
-    centered = vectors - mean
+    # order="K" keeps the layout ``vectors - mean`` would have.
+    centered = vectors if overwrite_input else vectors.copy(order="K")
+    centered -= mean
     # A product that overflows leaves inf here and a non-finite distance in
     # frechet_distance, which raises; NumPy's warning would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -129,6 +146,12 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
 # no header names a dimension too large to shape an array with.
 _DIM_HEADER = re.compile(r"D=[ \t]*([0-9]{1,9})[ \t]*")
 
+# Bytes read from the file per piece.  Kept small: once the first matrix a
+# process reads is freed, glibc raises its mmap threshold, so later matrices
+# are placed in the heap, and larger reader temporaries would fragment the
+# heap around them and raise peak memory.
+_PIECE_BYTES = 1 << 14
+
 
 def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np.ndarray]:
     """Parse a ``D=<dim>`` vector file into (dim, float64 rows).
@@ -137,11 +160,69 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np
     floats (paired-embedding files store two vectors per line), read as
     ``float()`` reads them; blank lines are skipped.  Gzip-compressed files
     are detected by magic number and decompressed.
+
+    The file is read and parsed in pieces, never held whole.  Only a file
+    the pieces do not parse (a fault, or values ``float()`` reads and NumPy
+    does not) is read again whole and parsed a line at a time, which names
+    the fault or reads those values.
     """
     path = Path(path)
-    text = _read_text(path)
-    lines = _iter_lines(text)
-    first = next(lines, None)
+    # The whole-text route reads the source again from its start.  A pipe
+    # can be read only once, so its bytes are read into memory first.
+    source = open(path, "rb") if path.is_file() else io.BytesIO(path.read_bytes())
+    with source as raw:
+        read = _stream_rows(path, raw, row_multiplier)
+        if read is None:
+            raw.seek(0)
+            read = _rows_from_text(path, _read_text(path, raw.read()), row_multiplier)
+    return read
+
+
+def _stream_rows(path: Path, raw: BinaryIO,
+                 row_multiplier: int) -> tuple[int, np.ndarray] | None:
+    """The rows ``np.loadtxt`` reads from the file's lines, decoded a piece
+    at a time; None when anything in the file is not as it should be."""
+    gzipped = raw.read(2) == b"\x1f\x8b"
+    raw.seek(0)
+    stream = gzip.GzipFile(fileobj=raw) if gzipped else raw
+    try:
+        lines = _split_pieces(_decoded_pieces(stream))
+        dim = _header_dim(path, next(lines, None))
+        with warnings.catch_warnings():
+            # A body with no data is not an error here: callers count rows.
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except (EOFError, OSError, ValueError, zlib.error, InputError):
+        return None
+    return (dim, rows) if rows.shape[1] == dim * row_multiplier else None
+
+
+def _decoded_pieces(stream: BinaryIO) -> Iterator[str]:
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while piece := stream.read(_PIECE_BYTES):
+        yield decoder.decode(piece)
+    yield decoder.decode(b"", final=True)
+
+
+def _split_pieces(pieces: Iterable[str]) -> Iterator[str]:
+    """The lines of ``"".join(pieces).splitlines()``, a piece at a time.
+
+    Each piece is cut just after its last ``\n`` and the rest carried into
+    the next.  No line break spans the cut (``\n`` ends ``\r\n``), so the
+    text before it splits into whole lines."""
+    carry: list[str] = []
+    for piece in pieces:
+        cut = piece.rfind("\n") + 1
+        if cut:
+            carry.append(piece[:cut])
+            yield from "".join(carry).splitlines()
+            carry = [piece[cut:]]
+        else:
+            carry.append(piece)
+    yield from "".join(carry).splitlines()
+
+
+def _header_dim(path: Path, first: str | None) -> int:
     if first is None or not first.startswith("D="):
         raise InputError(f"{path}: first line must be 'D=<dim>'")
     header = _DIM_HEADER.fullmatch(first)
@@ -150,47 +231,28 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np
     dim = int(header[1])
     if dim < 1:
         raise InputError(f"{path}: dimension must be positive")
-
-    expected = dim * row_multiplier
-    try:
-        with warnings.catch_warnings():
-            # A body with no data is not an error here: callers count rows.
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        rows = None
-    if rows is None or rows.shape[1] != expected:
-        rows = np.array(_rows_by_line(path, text.splitlines(), expected),
-                        dtype=np.float64).reshape(-1, expected)
-    return dim, rows
+    return dim
 
 
-def _iter_lines(text: str, block: int = 1 << 16) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, a piece of about ``block``
-    characters at a time.  Each piece ends just after a ``\n``, and no line
-    break spans one, so the pieces split into the same lines.
-
-    The reader never holds every line of a large file at once: their freed
-    space, fragmented by whatever else is live, could not hold the arrays
-    that come next, so peak memory would hang on the heap's layout."""
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + block)
-        end = len(text) if cut < 0 else cut + 1
-        yield from text[start:end].splitlines()
-        start = end
-
-
-def _read_text(path: Path) -> str:
-    """The file's text, gunzipped first when it starts with the gzip magic.
-    The bytes are freed on return, before the caller reads the lines."""
-    raw = path.read_bytes()
+def _read_text(path: Path, raw: bytes) -> str:
+    """The text of the file's bytes, gunzipped first when they start with
+    the gzip magic.  The bytes are freed on return, before the caller
+    splits the lines."""
     if raw[:2] == b"\x1f\x8b":
         try:
             raw = gzip.decompress(raw)
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise InputError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
     return read_utf8(path, raw)
+
+
+def _rows_from_text(path: Path, text: str, row_multiplier: int) -> tuple[int, np.ndarray]:
+    """The whole-text route: the file's text read a line at a time."""
+    lines = text.splitlines()
+    dim = _header_dim(path, lines[0] if lines else None)
+    expected = dim * row_multiplier
+    return dim, np.array(_rows_by_line(path, lines, expected),
+                         dtype=np.float64).reshape(-1, expected)
 
 
 def _rows_by_line(path: Path, lines: list[str], expected: int) -> list[list[float]]:
@@ -223,10 +285,13 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
 
 
 def fcd_from_files(path_a: str | Path, path_b: str | Path) -> float:
-    """Frechet distance between Gaussians fitted to two embedding files."""
-    set_a = load_embeddings(path_a)
-    set_b = load_embeddings(path_b)
-    if set_a.dim != set_b.dim:
+    """Frechet distance between Gaussians fitted to two embedding files.
+
+    Each file's rows are fitted in place and freed before the next file is
+    read, so one matrix is held at a time."""
+    fit_a = gaussian_fit(load_embeddings(path_a), overwrite_input=True)
+    fit_b = gaussian_fit(load_embeddings(path_b), overwrite_input=True)
+    if fit_a.mean.shape != fit_b.mean.shape:
         raise DimensionMismatch(
-            f"embedding dimensions differ: {set_a.dim} vs {set_b.dim}")
-    return frechet_distance(gaussian_fit(set_a), gaussian_fit(set_b))
+            f"embedding dimensions differ: {len(fit_a.mean)} vs {len(fit_b.mean)}")
+    return frechet_distance(fit_a, fit_b)

@@ -178,7 +178,9 @@ def _mean_paired_cosine(path: str | Path, n_rows: int) -> float:
         raise EmbeddingRowMismatch(
             f"{path}: {len(rows)} embedding rows for {n_rows} predictions")
     total = 0.0
-    for number, row in enumerate(rows.tolist(), start=1):
+    for number, array_row in enumerate(rows, start=1):
+        # One row at a time: the matrix as Python floats is 3-4x its size.
+        row = array_row.tolist()
         if not all(map(math.isfinite, row)):
             raise NonFiniteInput(
                 f"{path}: embedding row {number} holds NaN or infinite values")

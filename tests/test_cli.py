@@ -184,6 +184,35 @@ class TestFingerprint:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("scheme,flag,value,message", [
+        ("morgan", "--bits", "3", "fingerprint width must be a power of two >= 4, got 3"),
+        ("path", "--bits", "3", "fingerprint width must be a power of two >= 4, got 3"),
+        ("morgan", "--radius", "-1", "radius must be non-negative"),
+        ("path", "--max-path", "0", "max_path_bonds must be at least 1"),
+    ], ids=["morgan-bits", "path-bits", "radius", "max-path"])
+    def test_bad_option_exits_one_on_empty_input(self, capsys, tmp_path,
+                                                 scheme, flag, value, message):
+        # The exit code must not depend on whether the input holds a line.
+        path = tmp_path / "in.txt"
+        path.write_text("")
+        code, out, err = run(capsys, "fingerprint", str(path),
+                             "--scheme", scheme, flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("scheme,flag,value", [
+        ("morgan", "--max-path", "0"), ("path", "--radius", "-1"),
+        ("keys", "--bits", "3"), ("keys", "--radius", "-1"),
+    ])
+    def test_option_of_another_scheme_is_not_checked(self, capsys, tmp_path,
+                                                     scheme, flag, value):
+        path = tmp_path / "in.txt"
+        path.write_text("CCO\n")
+        code, out, _ = run(capsys, "fingerprint", str(path),
+                           "--scheme", scheme, flag, value)
+        assert code == 0
+        assert len(out.splitlines()) == 1
+
 
 class TestFcd:
     def test_same_file_prints_near_zero(self, capsys, tmp_path):

@@ -1,7 +1,12 @@
 """Frechet distance numerics and embedding file parsing tests."""
 
 import gzip
+import os
 import random
+import re
+import threading
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -14,17 +19,20 @@ from evalkit.errors import (
     InputError,
     NonFiniteInput,
     TooFewSamples,
+    UndecodableFile,
 )
 from evalkit.frechet import (
+    _PIECE_BYTES,
+    _split_pieces,
     EmbeddingSet,
     GaussianStats,
-    _iter_lines,
     fcd_from_files,
     frechet_distance,
     gaussian_fit,
     load_embeddings,
     read_vector_rows,
 )
+from evalkit.harness import _mean_paired_cosine
 
 import oracles
 
@@ -84,6 +92,22 @@ class TestGaussianFit:
         rng = np.random.default_rng(5)
         fit = gaussian_fit(EmbeddingSet(rng.normal(size=(20, 6))))
         assert np.array_equal(fit.covariance, fit.covariance.T)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overwrite_input_fits_the_same_bits(self, order):
+        vectors = np.asarray(np.random.default_rng(7).normal(size=(30, 5)), order=order)
+        before = vectors.copy(order="K")
+        kept = gaussian_fit(EmbeddingSet(vectors))
+        assert np.array_equal(vectors, before)
+        overwritten = gaussian_fit(EmbeddingSet(vectors), overwrite_input=True)
+        assert np.array_equal(vectors, before - kept.mean)
+        # The same arithmetic on a separate centred array.
+        centered = before - before.mean(axis=0)
+        covariance = centered.T @ centered / (len(before) - 1)
+        want = (before.mean(axis=0), (covariance + covariance.T) / 2.0)
+        for fit in (kept, overwritten):
+            for got, expected in zip((fit.mean, fit.covariance), want):
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestFrechetDistance:
@@ -321,11 +345,13 @@ def test_reader_agrees_with_line_oracle(tmp_path):
     assert accepted > 1000 and rejected > 1000
 
 
-@given(st.text(alphabet="ab \t\xa0" + "".join(_LINE_ENDS), max_size=60),
-       st.integers(min_value=0, max_value=8))
+@given(st.text(alphabet="ab \t\xa0" + "".join(_LINE_ENDS), max_size=60), st.data())
 @settings(max_examples=500)
-def test_lines_read_in_pieces_are_splitlines(text, block):
-    assert list(_iter_lines(text, block)) == text.splitlines()
+def test_lines_read_in_pieces_are_splitlines(text, data):
+    # Cut points anywhere, inside "\r\n" too; a piece may be empty.
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=8)))
+    pieces = [text[a:b] for a, b in zip([0] + cuts, cuts + [len(text)])]
+    assert list(_split_pieces(pieces)) == text.splitlines()
 
 
 def test_reader_spanning_many_pieces_agrees_with_line_oracle(tmp_path):
@@ -346,6 +372,172 @@ def test_reader_spanning_many_pieces_agrees_with_line_oracle(tmp_path):
     want = np.array(oracles.vector_rows_by_line(path, text.splitlines(), 8))
     assert dim == 8
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _whole_text_result(path, data: bytes, expected: int) -> np.ndarray:
+    """What reading ``data`` as a whole text gives: the per-line oracle's
+    rows, or the error the whole-text reader raises."""
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise InputError(f"{path}: truncated or corrupt gzip data ({exc})") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableFile(f"{path}: not UTF-8 text ({exc})") from None
+    rows = oracles.vector_rows_by_line(path, text.splitlines(), expected)
+    return np.array(rows, dtype=np.float64).reshape(-1, expected)
+
+
+def _assert_reads_as_whole_text(path, data: bytes, dim: int) -> None:
+    """``read_vector_rows`` on ``data`` gives :func:`_whole_text_result`'s
+    rows bit for bit, or its error class and message."""
+    path.write_bytes(data)
+    try:
+        want = _whole_text_result(path, data, dim)
+    except InputError as exc:
+        with pytest.raises(type(exc)) as info:
+            read_vector_rows(path)
+        assert str(info.value) == str(exc)
+        return
+    got_dim, rows = read_vector_rows(path)
+    assert got_dim == dim
+    assert rows.shape == want.shape
+    assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+
+
+def _starting_at(offset: int, text: str) -> bytes:
+    """A ``D=2`` file whose bytes from ``offset`` on are ``text``, padded
+    before it by a blank line of spaces."""
+    head = "D=2\n"
+    return (head + " " * (offset - len(head) - 1) + "\n" + text).encode("utf-8")
+
+
+def _many_rows(rng: random.Random, count: int, end: str = "\n") -> str:
+    return "".join(f"{rng.uniform(-9, 9)!r} {rng.uniform(-9, 9)!r}{end}"
+                   for _ in range(count))
+
+
+class TestReaderPieces:
+    """Files read in pieces: piece boundaries inside a character or a line
+    break, and faults that show only after the first piece."""
+
+    # ``split`` of the text's bytes end the first piece.
+    @pytest.mark.parametrize("text,split", [
+        ("1\xa02\n3 4\n", 2),        # between the two bytes of NBSP
+        ("1 2\r\n3 4\r\n", 4),       # between "\r" and "\n"
+        ("1 2\r3 4\n", 4),            # just after a lone "\r"
+        ("1_0 2\n3 4\n", 2),          # inside a value only float() reads
+        ("1 2 3\n3 4\n", 4),          # inside a line with a field too many
+    ], ids=["nbsp", "crlf", "cr", "float-only", "fields"])
+    @pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzip"])
+    def test_boundary_inside_separator_or_line_break(self, tmp_path, text, split,
+                                                     gzipped):
+        data = _starting_at(_PIECE_BYTES - split, text)
+        assert data[_PIECE_BYTES - split:] == text.encode("utf-8")
+        if gzipped:
+            data = gzip.compress(data, mtime=0)
+        _assert_reads_as_whole_text(tmp_path / "e", data, 2)
+
+    @pytest.mark.parametrize("fault", [b"\xff", b"\xc2 ", b"\xe2\x82", b"\xed\xa0\x80"])
+    @pytest.mark.parametrize("where", ["second-piece", "end"])
+    def test_undecodable_byte_after_first_piece(self, tmp_path, fault, where):
+        data = ("D=2\n" + _many_rows(random.Random(61), 3000)).encode("utf-8")
+        assert len(data) > 2 * _PIECE_BYTES
+        at = _PIECE_BYTES + 100 if where == "second-piece" else len(data)
+        data = data[:at] + fault + data[at:]
+        _assert_reads_as_whole_text(tmp_path / "e", data, 2)
+        with pytest.raises(UndecodableFile, match=f"in position {at}[:-]"):
+            read_vector_rows(tmp_path / "e")
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt", "garbage", "zeros",
+                                        "two-members", "bad-second-member"])
+    def test_gzip_fault_after_first_piece(self, tmp_path, damage):
+        rng = random.Random(67)
+        data = gzip.compress(("D=2\n" + _many_rows(rng, 3000)).encode(), mtime=0)
+        assert len(data) > 2 * _PIECE_BYTES
+        more = gzip.compress(_many_rows(rng, 5).encode(), mtime=0)
+        at = len(data) * 3 // 4
+        data = {
+            "truncated": data[:at],
+            "corrupt": data[:at] + bytes(b ^ 0x55 for b in data[at:at + 8]) + data[at + 8:],
+            "garbage": data + b"garbage",
+            "zeros": data + bytes(8),
+            "two-members": data + more,
+            "bad-second-member": data + more[:len(more) // 2],
+        }[damage]
+        _assert_reads_as_whole_text(tmp_path / "e.gz", data, 2)
+
+    def test_only_carriage_returns(self, tmp_path):
+        rng = random.Random(71)
+        data = ("D=2\r" + _many_rows(rng, 3000, end="\r")).encode("utf-8")
+        assert b"\n" not in data and len(data) > 2 * _PIECE_BYTES
+        _assert_reads_as_whole_text(tmp_path / "e", data, 2)
+        _, rows = read_vector_rows(tmp_path / "e")
+        assert rows.shape == (3000, 2)
+
+    @pytest.mark.parametrize("body", ["1 2\n3 4\n", "1_0 2\n3 4\n", "1 2 3\n"],
+                             ids=["plain", "float-only", "fields"])
+    def test_pipe_is_read_once(self, tmp_path, body):
+        # A pipe cannot be read a second time, so the whole-text route must
+        # start from the bytes already read.
+        data = ("D=2\n" + body).encode()
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            want = _whole_text_result(path, data, 2)
+        except InputError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                read_vector_rows(path)
+        else:
+            _, rows = read_vector_rows(path)
+            assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+class TestMemoryBound:
+    """Peak traced memory of a read or a fit stays near the float64 matrix
+    (NumPy reports its buffers to tracemalloc)."""
+
+    ROWS, DIM = 8000, 64
+    MATRIX_BYTES = ROWS * DIM * 8
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("large")
+        rng = np.random.default_rng(73)
+        matrix = rng.normal(size=(self.ROWS, self.DIM))
+        paths = {"a": folder / "a.txt", "b": folder / "b.txt",
+                 "paired": folder / "paired.txt"}
+        np.savetxt(paths["a"], matrix, fmt="%.17g", header=f"D={self.DIM}", comments="")
+        np.savetxt(paths["b"], matrix + 0.5, fmt="%.17g", header=f"D={self.DIM}", comments="")
+        np.savetxt(paths["paired"], matrix, fmt="%.17g", header=f"D={self.DIM // 2}",
+                   comments="")
+        return paths
+
+    def peak_ratio(self, call) -> float:
+        call()  # anything imported or cached on a first call is not counted
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / self.MATRIX_BYTES
+
+    def test_read_vector_rows(self, files):
+        assert self.peak_ratio(lambda: read_vector_rows(files["a"])) <= 1.5
+
+    def test_fcd_from_files(self, files):
+        assert self.peak_ratio(lambda: fcd_from_files(files["a"], files["b"])) <= 1.5
+
+    def test_mean_paired_cosine(self, files):
+        assert self.peak_ratio(
+            lambda: _mean_paired_cosine(files["paired"], self.ROWS)) <= 1.5
 
 
 class TestFcdFromFiles:
