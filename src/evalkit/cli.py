@@ -21,10 +21,12 @@ from .tokenizer import tokenize
 
 def _read_lines(path: str | None) -> list[str]:
     if path is None or path == "-":
-        try:
-            text = sys.stdin.read()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"standard input: not UTF-8 text ({exc})") from exc
+        # Decode the bytes here: the text stream's decoding follows the
+        # locale and may pass bytes that are not UTF-8.  A stream without
+        # bytes underneath (a StringIO, say) is read as text.
+        buffer = getattr(sys.stdin, "buffer", None)
+        text = (sys.stdin.read() if buffer is None
+                else read_utf8("standard input", buffer.read()))
     else:
         text = read_utf8(path)
     return [line for line in (l.strip() for l in text.splitlines()) if line]

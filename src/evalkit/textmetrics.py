@@ -83,6 +83,14 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _position_masks(tokens: Sequence[str]) -> dict[str, int]:
+    """Each token of ``tokens`` -> the bitmask of the positions it holds."""
+    masks: dict[str, int] = {}
+    for i, token in enumerate(tokens):
+        masks[token] = masks.get(token, 0) | 1 << i
+    return masks
+
+
 Overlaps = dict[int, tuple[tuple[int, int, int], ...]]
 
 
@@ -101,10 +109,8 @@ def ngram_overlaps(corpus: CorpusPair, orders: Iterable[int]) -> Overlaps:
         for ref, hyp in zip(corpus.references, corpus.hypotheses):
             ref_counts = _ngram_counts(ref, n)
             hyp_counts = _ngram_counts(hyp, n)
-            rows.append((
-                sum(min(count, ref_counts[gram])
-                    for gram, count in hyp_counts.items()),
-                sum(hyp_counts.values()), sum(ref_counts.values())))
+            rows.append((sum((hyp_counts & ref_counts).values()),
+                         sum(hyp_counts.values()), sum(ref_counts.values())))
         result[n] = tuple(rows)
     return result
 
@@ -161,9 +167,7 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
         a, b = b, a
     if not b:
         return 0
-    peq: dict[str, int] = {}
-    for i, token in enumerate(b):
-        peq[token] = peq.get(token, 0) | 1 << i
+    peq = _position_masks(b)
     mask = (1 << len(b)) - 1
     v = mask
     for token in a:
@@ -208,10 +212,8 @@ def _chunk_floor(ref: Sequence[str], hyp: Sequence[str], matches: int) -> int:
     side joins at most once, so the joins never exceed the clipped overlap
     of the two bigram multisets.
     """
-    ref_bigrams = Counter(zip(ref, ref[1:]))
-    joins = sum(min(count, ref_bigrams[gram])
-                for gram, count in Counter(zip(hyp, hyp[1:])).items())
-    return max(1, matches - joins)
+    joins = Counter(zip(hyp, hyp[1:])) & Counter(zip(ref, ref[1:]))
+    return max(1, matches - sum(joins.values()))
 
 
 def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> int:
@@ -235,19 +237,14 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
     no result, only how often a subtree is walked; some long pairs still
     end on the budget.
     """
-    # Ref positions of each matched token, last first: the push order.
-    ref_positions: dict[str, list[int]] = {}
-    for pos in range(len(ref) - 1, -1, -1):
-        if ref[pos] in match_quota:
-            ref_positions.setdefault(ref[pos], []).append(pos)
-    mask_of = {token: sum(1 << pos for pos in positions)
-               for token, positions in ref_positions.items()}
-    candidates = [ref_positions.get(token, ()) for token in hyp]
     # Per hyp position: the token's quota (0 when it has none) and its ref
     # positions as one bitmask.  Each ref position holds one token, so the
-    # matches a token has made are its bits in ``used``.
+    # matches a token has made are its bits in ``used``, and its free ref
+    # positions, a node's children, are the bits of ``masks[pos] & ~used``.
+    ref_masks = _position_masks(ref)
+    hyp_masks = _position_masks(hyp)
     need = [match_quota.get(token, 0) for token in hyp]
-    masks = [mask_of.get(token, 0) for token in hyp]
+    masks = [ref_masks.get(token, 0) for token in hyp]
 
     # later[pos]: occurrences of hyp[pos] after pos.  A token's matches
     # left only shrink, so while some are left every earlier occurrence
@@ -255,11 +252,8 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
     # them.  No quota ever exceeds the token's free ref positions or its
     # occurrences left in hyp, so every path ends at a leaf, a node with
     # every match made.
-    later = [0] * len(hyp)
-    seen: Counter = Counter()
-    for pos in range(len(hyp) - 1, -1, -1):
-        later[pos] = seen[hyp[pos]]
-        seen[hyp[pos]] += 1
+    later = [(hyp_masks[token] >> pos + 1).bit_count()
+             for pos, token in enumerate(hyp)]
 
     # A state packs into one int: used, pos, then prev + 2.
     prev_bits = (len(ref) + 1).bit_length()
@@ -283,8 +277,9 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
     # fits.  A frame is a node: (hyp position, bitmask of ref positions
     # used, chunks so far, ref position matched at pos - 1 or -2).  A
     # match at r starts a chunk unless it follows that position.
-    # Children are pushed in reverse visiting order, above a None that
-    # closes their parent's subtree once they are all done.
+    # Children are pushed in reverse visiting order, the highest free ref
+    # position first so that the lowest is visited first, above a None
+    # that closes their parent's subtree once they are all done.
     stack: list = [(0, 0, 0, -2)]
     while stack:
         node = stack.pop()
@@ -316,11 +311,12 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
                 if later[pos] >= left:
                     stack.append((pos + 1, used, chunks, -2))
                 if left:
-                    for ref_pos in candidates[pos]:
-                        if not used >> ref_pos & 1:
-                            stack.append((pos + 1, used | 1 << ref_pos,
-                                          chunks + (ref_pos != prev + 1),
-                                          ref_pos))
+                    free = masks[pos] & ~used
+                    while free:
+                        ref_pos = free.bit_length() - 1
+                        free ^= 1 << ref_pos
+                        stack.append((pos + 1, used | 1 << ref_pos,
+                                      chunks + (ref_pos != prev + 1), ref_pos))
                 continue
             budget -= nodes - 1
             reached = chunks + (entry & extra_mask)
@@ -334,12 +330,7 @@ def _min_chunks(ref: Sequence[str], hyp: Sequence[str], match_quota: dict) -> in
 
 
 def _meteor_pair(ref: Sequence[str], hyp: Sequence[str]) -> float:
-    ref_counts = Counter(ref)
-    hyp_counts = Counter(hyp)
-    quota = {
-        token: min(count, ref_counts[token])
-        for token, count in hyp_counts.items() if ref_counts[token]
-    }
+    quota = Counter(hyp) & Counter(ref)
     matches = sum(quota.values())
     if matches == 0:
         return 0.0
@@ -390,9 +381,7 @@ def levenshtein(a: str, b: str) -> int:
         a, b = b, a
     if not b:
         return len(a)
-    peq: dict[str, int] = {}
-    for i, ch in enumerate(b):
-        peq[ch] = peq.get(ch, 0) | 1 << i
+    peq = _position_masks(b)
     mask = (1 << len(b)) - 1
     last = 1 << (len(b) - 1)
     vp, vn = mask, 0

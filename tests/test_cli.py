@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,10 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import evalkit
 from evalkit.cli import main
 from evalkit.errors import EigenFailure
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(evalkit.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -435,6 +440,26 @@ class TestHostileFiles:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {bad}: not UTF-8 text")
+
+    # In UTF-8 mode, the default in a POSIX locale, sys.stdin decodes with
+    # surrogateescape; PYTHONIOENCODING can make it Latin-1.  Either way
+    # the stream's text would pass bytes that are not UTF-8.  The stream is
+    # set up at start-up, so each case runs in a fresh interpreter.
+    @pytest.mark.parametrize("setting", [
+        ("PYTHONUTF8", "1"), ("PYTHONIOENCODING", "latin-1"),
+    ], ids="=".join)
+    def test_undecodable_stdin_exits_one(self, setting):
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        env.update([setting])
+        done = subprocess.run(
+            [sys.executable, "-m", "evalkit.cli", "validate"],
+            input=b"C\xffC\n", env=env, capture_output=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"error: standard input: not UTF-8 text")
 
     GOLDEN_I2D = (FIXTURES / "golden" / "i2d_small.json").read_text()
 

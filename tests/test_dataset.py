@@ -95,12 +95,6 @@ class TestGenericJsonl:
         with pytest.raises(SchemaMismatch, match="line 1"):
             ingest(path, "generic_jsonl")
 
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "p.jsonl"
-        path.write_text('\n{"id": "a", "smiles": "C", "indication": "x"}\n\n')
-        _, report = ingest(path, "generic_jsonl")
-        assert report.kept == 1
-
 
 class TestDrugbankCsv:
     def test_reads_fixture(self, fixtures_dir):
@@ -185,6 +179,28 @@ class TestChemblTsv:
 
 
 class TestIngestDispatch:
+    # Per layout: a file with blank lines among its rows, and the records
+    # it keeps.
+    BLANK_LINES = {
+        "generic_jsonl": (
+            '\n{"id": "a", "smiles": "C", "indication": "x"}\n\n', 1),
+        "drugbank_csv": (
+            "id,name,smiles,indication\nDB1,a,C,pain\n\nDB2,b,N,fever\n", 2),
+        # Both rows carry one id, so they merge into one record.
+        "chembl_tsv": (
+            "chembl_id\tcanonical_smiles\tmesh_heading\n"
+            "CHEMBL1\tC\tPain\n\nCHEMBL1\tC\tFever\n", 1),
+    }
+
+    @pytest.mark.parametrize("layout", BLANK_LINES)
+    def test_blank_lines_skipped(self, tmp_path, layout):
+        text, kept = self.BLANK_LINES[layout]
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        _, report = ingest(path, layout)
+        assert report.kept == kept
+        assert report.dropped == 0
+
     def test_unknown_layout(self, tmp_path):
         path = tmp_path / "x"
         path.write_text("")

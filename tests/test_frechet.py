@@ -276,6 +276,13 @@ class TestVectorFiles:
         with pytest.raises(InputError, match="malformed dimension header"):
             read_vector_rows(path)
 
+    @pytest.mark.parametrize("header", ["D=0", "D=000000000"])
+    def test_header_dimension_zero(self, tmp_path, header):
+        path = tmp_path / "e.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(InputError, match="dimension must be positive"):
+            read_vector_rows(path)
+
 
 # Values, separators, line ends and blank lines, many of which float(),
 # str.split() and str.splitlines() treat differently from np.loadtxt.
