@@ -8,15 +8,15 @@ numeric failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import sys
 
-from . import dataset as ds
-from . import fingerprints as fp
 from . import harness
 from .errors import EvalkitError, InputError, NumericError, read_utf8
-from .smiles import parse_smiles, validate
-from .tokenizer import tokenize
+
+# The other evalkit modules are imported by the commands that use them, so
+# a process loads only what its command runs: eval-d2i never loads the
+# SMILES parser, the fingerprints or NumPy.
 
 
 def _read_lines(path: str | None) -> list[str]:
@@ -33,6 +33,8 @@ def _read_lines(path: str | None) -> list[str]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    from . import dataset as ds
+
     pairs, report = ds.ingest(args.path, args.layout)
     if args.out:
         ds.write_jsonl(pairs, args.out)
@@ -43,9 +45,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from . import dataset as ds
+
     pairs, _ = ds.ingest(args.path, "generic_jsonl")
     result = ds.stats(pairs)
     if args.format == "json":
+        import dataclasses
         import json
         print(json.dumps(dataclasses.asdict(result), indent=2))
         return 0
@@ -66,6 +71,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
+    from . import dataset as ds
+
     pairs, _ = ds.ingest(args.path, "generic_jsonl")
     spec = ds.SplitSpec(test_fraction=args.fraction, seed=args.seed)
     train, test = ds.split(pairs, spec)
@@ -76,6 +83,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_tokenize(args: argparse.Namespace) -> int:
+    from .tokenizer import tokenize
+
     for line in _read_lines(args.path):
         seq = tokenize(line)
         print(" ".join(token.text for token in seq.tokens))
@@ -83,6 +92,8 @@ def _cmd_tokenize(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .smiles import validate
+
     lines = _read_lines(args.path)
     if not lines:
         raise InputError("no input lines to validate")
@@ -99,6 +110,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
+    from . import fingerprints as fp
+    from .smiles import parse_smiles
+
     # The scheme's options are checked before any line is read, so the exit
     # code does not depend on the input.
     if args.scheme == "morgan":
@@ -146,7 +160,11 @@ def _cmd_eval_d2i(args: argparse.Namespace) -> int:
 def _cmd_eval_i2d(args: argparse.Namespace) -> int:
     preds = harness.load_predictions(args.predictions,
                                      harness.Task.INDICATION_TO_DRUG)
-    keyset = fp.KeySet.load(args.keyset) if args.keyset else None
+    if args.keyset:
+        from .fingerprints import KeySet
+        keyset = KeySet.load(args.keyset)
+    else:
+        keyset = None
     report = harness.eval_i2d(
         preds,
         embeddings_ref=args.embeddings_ref,
@@ -175,7 +193,13 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
                         default="table", help="output format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and kept: parsing leaves
+    it as it was, and rebuilding it on each in-process ``main`` call
+    churns the heap."""
+    from .dataset import LAYOUTS
+
     parser = argparse.ArgumentParser(
         prog="evalkit",
         description="Evaluate drug/indication translation predictions.",
@@ -184,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="read a dataset file, report drop counts")
     p.add_argument("path")
-    p.add_argument("--layout", choices=ds.LAYOUTS, required=True)
+    p.add_argument("--layout", choices=LAYOUTS, required=True)
     p.add_argument("--out", help="write kept records as generic JSONL")
     p.set_defaults(func=_cmd_ingest)
 

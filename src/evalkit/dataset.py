@@ -19,8 +19,6 @@ indices as the test side, halves rounding up.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +32,6 @@ from .errors import (
     SchemaMismatch,
     utf8_lines,
 )
-from .rng import Xoshiro256StarStar, round_half_up
 
 LAYOUTS = ("generic_jsonl", "drugbank_csv", "chembl_tsv")
 _SOURCES = ("drugbank", "chembl", "other")
@@ -106,6 +103,8 @@ class SplitSpec:
 
 
 def _digest(path: Path) -> str:
+    import hashlib  # loads OpenSSL: only ingest needs it
+
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
@@ -166,6 +165,8 @@ def _read_table_rows(path: Path, header: list[str],
     """Yield ``(line number, row)`` for each non-empty data row of a
     delimited file.  A header other than ``header``, or a row with another
     number of columns, raises :class:`SchemaMismatch`."""
+    import csv
+
     reader = csv.reader(utf8_lines(path, newline=""), delimiter=delimiter)
     found = next(reader, None)
     if found != header:
@@ -263,6 +264,8 @@ def split(pairs: PairSet, spec: SplitSpec) -> tuple[PairSet, PairSet]:
     a seeded Fisher-Yates shuffle; both sides keep the shuffled order.  The
     same spec on the same set always reproduces the same split.
     """
+    from .rng import Xoshiro256StarStar, round_half_up
+
     n = len(pairs)
     if n < 2:
         raise EmptySet(f"cannot split {n} record(s)")

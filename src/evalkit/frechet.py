@@ -7,10 +7,10 @@ magic number are decompressed transparently.
 
 A file is read in 16 KiB pieces and never held whole; only a file the
 pieces do not parse (a fault, or values only ``float()`` reads) is read
-again as one text, a line at a time, to name the fault or read those
-values.  :func:`fcd_from_files` fits each file's Gaussian in the array it
-read and frees that array before reading the next file, so it holds one
-matrix at a time, plus the covariances.
+again whole, as bytes, and parsed a line at a time, to name the fault or
+read those values.  :func:`fcd_from_files` fits each file's Gaussian in
+the array it read and frees that array before reading the next file, so it
+holds one matrix at a time, plus the covariances.
 
     d^2 = ||mu_a - mu_b||^2 + Tr(S_a) + Tr(S_b) - 2 Tr((S_a^1/2 S_b S_a^1/2)^1/2)
 
@@ -29,6 +29,7 @@ import math
 import re
 import warnings
 import zlib
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,7 +175,7 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np
         read = _stream_rows(path, raw, row_multiplier)
         if read is None:
             raw.seek(0)
-            read = _rows_from_text(path, _read_text(path, raw.read()), row_multiplier)
+            read = _rows_from_text(path, _text_pieces(path, raw.read()), row_multiplier)
     return read
 
 
@@ -234,45 +235,54 @@ def _header_dim(path: Path, first: str | None) -> int:
     return dim
 
 
-def _read_text(path: Path, raw: bytes) -> str:
-    """The text of the file's bytes, gunzipped first when they start with
-    the gzip magic.  The bytes are freed on return, before the caller
-    splits the lines."""
+def _text_pieces(path: Path, raw: bytes) -> Iterator[str]:
+    """The text of the file's bytes, a piece at a time, gunzipped first
+    when they start with the gzip magic.  Bytes that do not decode raise
+    here, before any line is read, with :func:`read_utf8`'s message."""
     if raw[:2] == b"\x1f\x8b":
         try:
             raw = gzip.decompress(raw)
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise InputError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
-    return read_utf8(path, raw)
+    # Decoded twice, a piece at a time, so that the text is never held
+    # whole next to the bytes: once to find a fault, and once to read.
+    try:
+        for _ in _decoded_pieces(io.BytesIO(raw)):
+            pass
+    except UnicodeDecodeError:
+        read_utf8(path, raw)  # raises, giving the offset in the whole text
+    return _decoded_pieces(io.BytesIO(raw))
 
 
-def _rows_from_text(path: Path, text: str, row_multiplier: int) -> tuple[int, np.ndarray]:
-    """The whole-text route: the file's text read a line at a time."""
-    lines = text.splitlines()
-    dim = _header_dim(path, lines[0] if lines else None)
+def _rows_from_text(path: Path, pieces: Iterable[str],
+                    row_multiplier: int) -> tuple[int, np.ndarray]:
+    """The whole-text route: the file's text, from its pieces, read a line
+    at a time."""
+    lines = _split_pieces(pieces)
+    dim = _header_dim(path, next(lines, None))
     expected = dim * row_multiplier
-    return dim, np.array(_rows_by_line(path, lines, expected),
-                         dtype=np.float64).reshape(-1, expected)
+    return dim, _rows_by_line(path, lines, expected).reshape(-1, expected)
 
 
-def _rows_by_line(path: Path, lines: list[str], expected: int) -> list[list[float]]:
-    """The rows ``np.loadtxt`` cannot give: this names the first bad line,
-    and reads what ``float()`` reads and NumPy does not (``1_0``, digits
-    of other scripts)."""
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+def _rows_by_line(path: Path, lines: Iterator[str], expected: int) -> np.ndarray:
+    """The values ``np.loadtxt`` cannot give, from the lines after the
+    header: this names the first bad line, and reads what ``float()`` reads
+    and NumPy does not (``1_0``, digits of other scripts).  Each row goes
+    straight into float64 storage, so no row is held as Python floats."""
+    values = array("d")
+    for lineno, line in enumerate(lines, start=2):
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != expected:
             raise InputError(
                 f"{path} line {lineno}: expected {expected} values, got {len(fields)}")
         try:
-            rows.append([float(f) for f in fields])
+            values.extend(map(float, fields))
         except ValueError:
             raise InputError(
                 f"{path} line {lineno}: non-numeric value") from None
-    return rows
+    return np.frombuffer(values, dtype=np.float64)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingSet:

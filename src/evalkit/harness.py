@@ -27,8 +27,8 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import fingerprints as fp
 from .dataset import read_jsonl_objects
 from .errors import (
     DuplicateId,
@@ -39,7 +39,6 @@ from .errors import (
     SchemaMismatch,
     TaskMismatch,
 )
-from .smiles import validate
 from .textmetrics import (
     BLEU_EPSILON,
     CorpusPair,
@@ -52,6 +51,9 @@ from .textmetrics import (
     rouge_l,
     rouge_n,
 )
+
+if TYPE_CHECKING:
+    from . import fingerprints as fp
 
 FLOAT_FORMAT = "{:.4f}"
 ABSENT_CELL = "—"
@@ -246,6 +248,11 @@ def eval_i2d(preds: PredictionFile,
     reference is graded only when its row's hypothesis parses.
     """
     _require_task(preds, Task.INDICATION_TO_DRUG)
+    # Imported here, so eval-d2i never loads the SMILES parser or the
+    # fingerprint code, and before the embedding files are read (see below).
+    from . import fingerprints as fp
+    from .smiles import validate
+
     # Checked here, not only where a molecule is fingerprinted, so a bad
     # option fails the same way whether or not any SMILES parses.
     fp._require_width(bits)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyCorpus, InputError, LengthMismatch
-from .tokenizer import tokenize as smiles_tokenize
 
 BLEU_EPSILON = 1e-9
 
@@ -48,7 +47,9 @@ def tokenize_text(text: str, mode: TokenMode) -> list[str]:
         return _WORD_RE.findall(text.lower())
     if mode is TokenMode.CHAR:
         return list(text)
-    return [token.text for token in smiles_tokenize(text)]
+    from .tokenizer import tokenize  # eval-d2i never loads it
+
+    return [token.text for token in tokenize(text)]
 
 
 @dataclass(frozen=True)

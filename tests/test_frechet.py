@@ -546,6 +546,21 @@ class TestMemoryBound:
         assert self.peak_ratio(
             lambda: _mean_paired_cosine(files["paired"], self.ROWS)) <= 1.5
 
+    def test_value_only_float_reads(self, files, tmp_path):
+        """One ``1_0`` sends the file down the whole-text route.  Holding
+        the text, its lines and every value as a Python float, that route
+        peaked at 10.3 matrices; half of that is the bound."""
+        text = files["a"].read_text("ascii")
+        plain, underscore = tmp_path / "plain.txt", tmp_path / "underscore.txt"
+        last = text.rindex(" ") + 1
+        plain.write_text(text[:last] + "10\n", "ascii")
+        underscore.write_text(text[:last] + "1_0\n", "ascii")
+        assert self.peak_ratio(lambda: read_vector_rows(underscore)) <= 5.15
+        dim, rows = read_vector_rows(underscore)
+        want_dim, want = read_vector_rows(plain)
+        assert (dim, rows.shape, rows.dtype) == (want_dim, want.shape, want.dtype)
+        assert rows.tobytes() == want.tobytes()
+
 
 class TestFcdFromFiles:
     def test_same_file_twice_is_zero(self, tmp_path):

@@ -1,9 +1,11 @@
-"""The import boundary: only ``evalkit.frechet`` imports NumPy, and only an
-FCD or Text2Mol path imports ``evalkit.frechet``.
+"""The import boundary: only ``evalkit.frechet`` imports NumPy, only an
+FCD or Text2Mol path imports ``evalkit.frechet``, and each command loads
+only the evalkit modules it runs.
 
-The test process has NumPy loaded already, so each check starts a fresh
-interpreter, runs one import or one CLI call there, and reports whether
-``numpy`` ended up in ``sys.modules``.
+The test process has every module loaded already, so each check starts a
+fresh interpreter, runs one import or one CLI call there, and reports
+which evalkit submodules, and which of ``csv``, ``hashlib`` and ``numpy``,
+ended up in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ out, code = io.StringIO(), None
 if sys.argv[2:]:
     with contextlib.redirect_stdout(out):
         code = importlib.import_module("evalkit.cli").main(sys.argv[2:])
+watched = ("csv", "hashlib", "numpy")
+modules = sorted(m for m in sys.modules
+                 if m.startswith("evalkit.") or m in watched)
 print(json.dumps({"numpy": "numpy" in sys.modules, "code": code,
-                  "stdout": out.getvalue()}))
+                  "stdout": out.getvalue(), "modules": modules}))
 """
 
 # The six names evalkit re-exports from evalkit.frechet.
@@ -108,6 +113,47 @@ def test_embedding_command_loads_numpy(name):
                 else (GOLDEN_DIR / golden).read_text("utf-8"))
     assert result["stdout"] == expected
     assert result["numpy"] is True
+
+
+def test_import_loads_no_submodule():
+    assert fresh("evalkit")["modules"] == []
+
+
+# name -> (CLI call, modules it must not load)
+NOT_LOADED = {
+    "eval-d2i": (["eval-d2i", fixture("predictions_d2i_small.jsonl")],
+                 {"evalkit.smiles", "evalkit.fingerprints", "evalkit.tokenizer",
+                  "evalkit.elements", "evalkit.rng", "hashlib", "csv", "numpy"}),
+    "validate": (["validate", fixture("smiles_grammar.txt")],
+                 {"evalkit.fingerprints"}),
+    "tokenize": (["tokenize", fixture("valid_smiles.txt")], {"evalkit.smiles"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_LOADED))
+def test_command_loads_only_its_modules(name):
+    argv, absent = NOT_LOADED[name]
+    result = fresh("evalkit.cli", *argv)
+    assert result["code"] == 0
+    assert result["stdout"] == in_process(argv)
+    assert absent.isdisjoint(result["modules"])
+
+
+def test_kept_parser_holds_no_state_between_calls():
+    """cli.main builds its parser once per process.  Calls in one process,
+    each after one with other options, print what fresh processes print."""
+    calls = [
+        ["eval-i2d", fixture("predictions_i2d_small.jsonl"),
+         "--keyset", fixture("keyset_small.tsv")],
+        ["eval-i2d", fixture("predictions_i2d_small.jsonl")],
+        ["eval-d2i", fixture("predictions_d2i_small.jsonl")],
+    ]
+    outputs = [in_process(argv) for argv in calls]
+    for argv, output in zip(calls, outputs):
+        result = fresh("evalkit.cli", *argv)
+        assert result["code"] == 0
+        assert result["stdout"] == output
+    assert outputs[0] != outputs[1]
 
 
 class TestPublicApi:
