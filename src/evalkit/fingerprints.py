@@ -26,7 +26,6 @@ present.  Widths must be powers of two.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -410,6 +409,13 @@ class KeySet:
 
     @cached_property
     def digest(self) -> str:
+        """The first 16 hex digits of the SHA-256 of the key listing."""
+        if self is DEFAULT_KEYSET:
+            # A literal, so that reports on the built-in set do not load
+            # hashlib and OpenSSL; a test recomputes it.
+            return "50ae8b502927a1ce"
+        import hashlib  # loads OpenSSL: only key sets from files need it
+
         listing = "\n".join(f"{i}\t{k.text}" for i, k in enumerate(self.keys))
         return hashlib.sha256(listing.encode("utf-8")).hexdigest()[:16]
 

@@ -8,9 +8,12 @@ magic number are decompressed transparently.
 A file is read in 16 KiB pieces and never held whole; only a file the
 pieces do not parse (a fault, or values only ``float()`` reads) is read
 again whole, as bytes, and parsed a line at a time, to name the fault or
-read those values.  :func:`fcd_from_files` fits each file's Gaussian in
-the array it read and frees that array before reading the next file, so it
-holds one matrix at a time, plus the covariances.
+read those values.  :func:`fcd_from_files` never holds a file's rows
+whole: it parses them in blocks of ``_BLOCK_VALUES`` values (two rows at
+least) and folds each block into a column sum and a ``D x D`` scatter, so
+it holds one row block plus ``D x D`` arrays, however many rows the file
+has.  A file that fits in one block is fitted by :func:`gaussian_fit`
+exactly as a whole matrix is.
 
     d^2 = ||mu_a - mu_b||^2 + Tr(S_a) + Tr(S_b) - 2 Tr((S_a^1/2 S_b S_a^1/2)^1/2)
 
@@ -32,6 +35,7 @@ import zlib
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO
 
@@ -153,6 +157,14 @@ _DIM_HEADER = re.compile(r"D=[ \t]*([0-9]{1,9})[ \t]*")
 # heap around them and raise peak memory.
 _PIECE_BYTES = 1 << 14
 
+# Values in one row block of an FCD fit: 1 MiB of float64, 256 rows at
+# D = 512.  The fit holds one block at a time, so this bounds its memory.
+_BLOCK_VALUES = 1 << 17
+
+# What makes the piece route give up on a file and leave it to the
+# whole-text route, which names the fault.
+_STREAM_FAULTS = (EOFError, OSError, ValueError, zlib.error, InputError)
+
 
 def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np.ndarray]:
     """Parse a ``D=<dim>`` vector file into (dim, float64 rows).
@@ -168,34 +180,71 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np
     the fault or reads those values.
     """
     path = Path(path)
+    with _open(path) as raw:
+        return _read_rows(path, raw, row_multiplier)
+
+
+def _open(path: Path) -> BinaryIO:
     # The whole-text route reads the source again from its start.  A pipe
     # can be read only once, so its bytes are read into memory first.
-    source = open(path, "rb") if path.is_file() else io.BytesIO(path.read_bytes())
-    with source as raw:
-        read = _stream_rows(path, raw, row_multiplier)
-        if read is None:
-            raw.seek(0)
-            read = _rows_from_text(path, _text_pieces(path, raw.read()), row_multiplier)
+    return open(path, "rb") if path.is_file() else io.BytesIO(path.read_bytes())
+
+
+def _read_rows(path: Path, raw: BinaryIO, row_multiplier: int) -> tuple[int, np.ndarray]:
+    read = _stream_rows(path, raw, row_multiplier)
+    if read is None:
+        raw.seek(0)
+        read = _rows_from_text(path, _text_pieces(path, raw.read()), row_multiplier)
     return read
+
+
+def _stream_lines(raw: BinaryIO) -> Iterator[str]:
+    """The lines of the file, gunzipped when it starts with the gzip magic
+    and decoded a piece at a time."""
+    gzipped = raw.read(2) == b"\x1f\x8b"
+    raw.seek(0)
+    stream = gzip.GzipFile(fileobj=raw) if gzipped else raw
+    return _split_pieces(_decoded_pieces(stream))
 
 
 def _stream_rows(path: Path, raw: BinaryIO,
                  row_multiplier: int) -> tuple[int, np.ndarray] | None:
     """The rows ``np.loadtxt`` reads from the file's lines, decoded a piece
     at a time; None when anything in the file is not as it should be."""
-    gzipped = raw.read(2) == b"\x1f\x8b"
-    raw.seek(0)
-    stream = gzip.GzipFile(fileobj=raw) if gzipped else raw
+    lines = _stream_lines(raw)
     try:
-        lines = _split_pieces(_decoded_pieces(stream))
         dim = _header_dim(path, next(lines, None))
         with warnings.catch_warnings():
             # A body with no data is not an error here: callers count rows.
             warnings.simplefilter("ignore", UserWarning)
             rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except (EOFError, OSError, ValueError, zlib.error, InputError):
+    except _STREAM_FAULTS:
         return None
     return (dim, rows) if rows.shape[1] == dim * row_multiplier else None
+
+
+def _stream_blocks(path: Path, raw: BinaryIO) -> Iterator[np.ndarray]:
+    """The rows :func:`_stream_rows` reads, parsed a block of
+    :func:`_block_rows` rows at a time from the same lines.  Raises one of
+    ``_STREAM_FAULTS`` where that function returns None."""
+    lines = _stream_lines(raw)
+    dim = _header_dim(path, next(lines, None))
+    # Only the lines np.loadtxt does not skip, so that every block but the
+    # last holds exactly _block_rows rows wherever the blank lines fall.
+    rows = (line for line in lines if line and not line.isspace())
+    size = _block_rows(dim)
+    for line in rows:
+        block = np.loadtxt(chain((line,), islice(rows, size - 1)),
+                           dtype=np.float64, comments=None, ndmin=2)
+        if block.shape[1] != dim:
+            raise ValueError(f"{path}: rows of {block.shape[1]} values, not {dim}")
+        yield block
+        del block  # freed while the next block is parsed
+
+
+def _block_rows(dim: int) -> int:
+    # Two rows at least, so that the first block can be fitted on its own.
+    return max(2, _BLOCK_VALUES // dim)
 
 
 def _decoded_pieces(stream: BinaryIO) -> Iterator[str]:
@@ -288,6 +337,10 @@ def _rows_by_line(path: Path, lines: Iterator[str], expected: int) -> np.ndarray
 def load_embeddings(path: str | Path) -> EmbeddingSet:
     """Read an embedding file (``D=<dim>`` header, one vector per line)."""
     _, rows = read_vector_rows(path)
+    return _embedding_set(path, rows)
+
+
+def _embedding_set(path: str | Path, rows: np.ndarray) -> EmbeddingSet:
     if len(rows) < 2:
         raise TooFewSamples(
             f"{path}: need at least 2 embedding rows, got {len(rows)}")
@@ -297,11 +350,74 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
 def fcd_from_files(path_a: str | Path, path_b: str | Path) -> float:
     """Frechet distance between Gaussians fitted to two embedding files.
 
-    Each file's rows are fitted in place and freed before the next file is
-    read, so one matrix is held at a time."""
-    fit_a = gaussian_fit(load_embeddings(path_a), overwrite_input=True)
-    fit_b = gaussian_fit(load_embeddings(path_b), overwrite_input=True)
+    Each file is fitted in one pass over blocks of its rows, so neither
+    file's rows are ever held whole (see :func:`_fit_file`)."""
+    fit_a = _fit_file(Path(path_a))
+    fit_b = _fit_file(Path(path_b))
     if fit_a.mean.shape != fit_b.mean.shape:
         raise DimensionMismatch(
             f"embedding dimensions differ: {len(fit_a.mean)} vs {len(fit_b.mean)}")
     return frechet_distance(fit_a, fit_b)
+
+
+def _fit_file(path: Path) -> GaussianStats:
+    """The Gaussian of an embedding file's rows, folded block by block as
+    they are parsed.
+
+    A file the blocks do not read (one :func:`_stream_rows` rejects, one
+    with a non-finite value, or one with fewer than two rows) is read as
+    :func:`load_embeddings` reads it, which raises its error, and its
+    matrix is folded in the same blocks, so the fit depends on the values
+    and not on the route."""
+    with _open(path) as raw:
+        try:
+            return _fit_blocks(_stream_blocks(path, raw))
+        except _STREAM_FAULTS:
+            pass
+        raw.seek(0)
+        dim, rows = _read_rows(path, raw, 1)
+    vectors = _embedding_set(path, rows).vectors
+    size = _block_rows(dim)
+    return _fit_blocks(vectors[start:start + size]
+                       for start in range(0, len(vectors), size))
+
+
+def _fit_blocks(blocks: Iterator[np.ndarray]) -> GaussianStats:
+    """The Gaussian of the rows of ``blocks``, which it overwrites.
+
+    The first block is fitted by :func:`gaussian_fit`, and when it is the
+    only block that is the fit.  Otherwise every row is shifted by the
+    first block's mean, the shifted rows are summed into a column sum and a
+    scatter ``BᵀB`` a block at a time, and the scatter is centred once at
+    the end (Chan, Golub & LeVeque 1983).  The shift keeps the sums small,
+    so the centring cancels little."""
+    first = next(blocks, None)
+    if first is None:
+        raise TooFewSamples("need at least 2 embedding rows, got 0")
+    fit = gaussian_fit(EmbeddingSet(first), overwrite_input=True)
+    # gaussian_fit left ``first`` centred on the shift, its mean.
+    count, total = len(first), first.sum(axis=0)
+    del first
+    block = next(blocks, None)
+    if block is None:
+        return fit
+    # The first block's scatter, made in the covariance's own array.
+    shift, scatter = fit.mean, fit.covariance
+    scatter *= count - 1
+    # Overflow shows as a non-finite distance in frechet_distance, as it
+    # does for gaussian_fit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while block is not None:
+            if not np.isfinite(block).all():
+                raise NonFiniteInput("embeddings contain NaN or infinite values")
+            block -= shift
+            total += block.sum(axis=0)
+            scatter += block.T @ block
+            count += len(block)
+            del block  # freed before the next block is parsed
+            block = next(blocks, None)
+        centre = total / count
+        scatter -= np.outer(centre, centre) * count
+        covariance = scatter / (count - 1)
+        covariance = (covariance + covariance.T) / 2.0
+    return GaussianStats(mean=shift + centre, covariance=covariance)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 from evalkit.elements import AROMATIC_BRACKET, ELEMENTS
 from evalkit.errors import InputError, UnknownSymbol, UnterminatedBracket
@@ -378,6 +379,20 @@ def frechet_distance_jacobi(mean_a: list[float], cov_a: list[list[float]],
     trace_a = sum(cov_a[i][i] for i in range(n))
     trace_b = sum(cov_b[i][i] for i in range(n))
     return max(mean_term + trace_a + trace_b - 2.0 * trace_root, 0.0)
+
+
+def gaussian_fit_exact(rows: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Column means and the (N-1)-normalised covariance in rational
+    arithmetic, each rounded once to the nearest float."""
+    n, dim = len(rows), len(rows[0])
+    exact = [[Fraction(x) for x in row] for row in rows]
+    mean = [sum(row[j] for row in exact) / n for j in range(dim)]
+    centred = [[x - m for x, m in zip(row, mean)] for row in exact]
+    cov = [[0.0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            cov[i][j] = cov[j][i] = float(sum(row[i] * row[j] for row in centred) / (n - 1))
+    return [float(m) for m in mean], cov
 
 
 class _Cursor:

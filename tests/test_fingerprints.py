@@ -1,5 +1,6 @@
 """Fingerprint scheme and similarity tests."""
 
+import hashlib
 import random
 
 import pytest
@@ -327,6 +328,11 @@ class TestKeys:
         # digest pins the exact key listing; recompute from scratch
         assert DEFAULT_KEYSET.digest == KeySet(
             name="x", keys=DEFAULT_KEYSET.keys).digest
+
+    def test_default_keyset_digest_literal_is_sha256_of_listing(self):
+        listing = "\n".join(f"{i}\t{k.text}" for i, k in enumerate(DEFAULT_KEYSET.keys))
+        want = hashlib.sha256(listing.encode("utf-8")).hexdigest()[:16]
+        assert DEFAULT_KEYSET.digest == want == "50ae8b502927a1ce"
 
 
 class TestTanimoto:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from evalkit import frechet
 from evalkit.errors import (
     DimensionMismatch,
     InputError,
@@ -23,6 +24,7 @@ from evalkit.errors import (
 )
 from evalkit.frechet import (
     _PIECE_BYTES,
+    _fit_file,
     _split_pieces,
     EmbeddingSet,
     GaussianStats,
@@ -352,6 +354,37 @@ def test_reader_agrees_with_line_oracle(tmp_path):
     assert accepted > 1000 and rejected > 1000
 
 
+def test_fit_depends_on_values_not_route(tmp_path, monkeypatch):
+    """On 2,000 seeded files in blocks of two rows, the FCD fit raises what
+    ``load_embeddings`` raises, or gives the bits of the fit of the same
+    values written plainly: the file's text (blank lines, ``1_0``, gzip)
+    moves no block boundary."""
+    monkeypatch.setattr(frechet, "_BLOCK_VALUES", 1)
+    rng = random.Random(79)
+    outcomes = {"fitted": 0, "multi-block": 0, "NonFiniteInput": 0, "InputError": 0}
+    for case in range(2000):
+        dim = rng.randint(1, 3)
+        text = f"D={dim}" + rng.choice(("\n", "\r\n")) + _hostile_body(rng, dim)
+        data = text.encode("utf-8")
+        path = tmp_path / ("e.gz" if case % 4 == 0 else "e.txt")
+        path.write_bytes(gzip.compress(data, mtime=0) if case % 4 == 0 else data)
+        try:
+            rows = load_embeddings(path).vectors
+        except InputError as exc:
+            with pytest.raises(InputError) as info:
+                _fit_file(path)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc)), text
+            outcomes["NonFiniteInput" if type(exc) is NonFiniteInput else "InputError"] += 1
+            continue
+        plain = write_embedding_file(tmp_path / "plain.txt", rows.tolist(), dim)
+        got, want = _fit_file(path), _fit_file(plain)
+        for a, b in ((got.mean, want.mean), (got.covariance, want.covariance)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), text
+        outcomes["fitted"] += 1
+        outcomes["multi-block"] += len(rows) > 2
+    assert min(outcomes.values()) > 50, outcomes
+
+
 @given(st.text(alphabet="ab \t\xa0" + "".join(_LINE_ENDS), max_size=60), st.data())
 @settings(max_examples=500)
 def test_lines_read_in_pieces_are_splitlines(text, data):
@@ -560,6 +593,90 @@ class TestMemoryBound:
         want_dim, want = read_vector_rows(plain)
         assert (dim, rows.shape, rows.dtype) == (want_dim, want.shape, want.dtype)
         assert rows.tobytes() == want.tobytes()
+
+    def test_fcd_from_files_holds_one_block(self, files):
+        """Each file is folded a row block at a time (4 blocks here), so no
+        fit holds its matrix."""
+        assert self.peak_ratio(lambda: fcd_from_files(files["a"], files["b"])) <= 0.5
+
+    def test_fcd_peak_does_not_grow_with_rows(self, files, tmp_path):
+        header, body = files["a"].read_text("ascii").split("\n", 1)
+        longer = tmp_path / "longer.txt"
+        longer.write_text(header + "\n" + body * 4, "ascii")
+        base = self.peak_ratio(lambda: fcd_from_files(files["a"], files["b"]))
+        assert self.peak_ratio(lambda: fcd_from_files(longer, files["b"])) <= base + 0.05
+
+    def test_fcd_of_value_only_float_reads(self, files, tmp_path):
+        """A ``1_0`` in the last block sends the file down the whole-text
+        route, whose matrix is folded in the same blocks: the FCD bits of
+        the file with ``10``."""
+        text = files["a"].read_text("ascii")
+        plain, underscore = tmp_path / "plain.txt", tmp_path / "underscore.txt"
+        last = text.rindex(" ") + 1
+        plain.write_text(text[:last] + "10\n", "ascii")
+        underscore.write_text(text[:last] + "1_0\n", "ascii")
+        assert fcd_from_files(underscore, files["b"]) == fcd_from_files(plain, files["b"])
+
+
+class TestBlockFold:
+    """FCD fits folded over row blocks, made 32 rows long here so that
+    small files span many of them."""
+
+    DIM = 6
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(frechet, "_BLOCK_VALUES", 32 * self.DIM)
+
+    def write(self, path, rows):
+        np.savetxt(path, rows, fmt="%.17g", header=f"D={self.DIM}", comments="")
+        return path
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_fold_agrees_with_exact_fit(self, tmp_path, offset):
+        """Against the fit in exact arithmetic.  ``gaussian_fit`` of the
+        whole matrix is no oracle on the offset sets: it sums each column a
+        row at a time, and misses their exact means by many ulps."""
+        rng = np.random.default_rng(83)
+        sets = {"a": rng.normal(size=(300, self.DIM)) + offset,
+                "b": rng.normal(size=(250, self.DIM)) * 1.3 + 0.2 + offset}
+        exact = {}
+        for name, rows in sets.items():
+            fit = _fit_file(self.write(tmp_path / name, rows))
+            exact[name] = stats(*oracles.gaussian_fit_exact(rows.tolist()))
+            spacing = np.spacing(1.0 + np.abs(exact[name].mean))
+            assert np.all(np.abs(fit.mean - exact[name].mean) <= 4 * spacing)
+            assert np.abs(fit.covariance - exact[name].covariance).max() <= 1e-13
+            assert np.array_equal(fit.covariance, fit.covariance.T)
+        assert fcd_from_files(tmp_path / "a", tmp_path / "b") == pytest.approx(
+            frechet_distance(exact["a"], exact["b"]), rel=1e-9)
+
+    def test_one_full_block_is_gaussian_fit(self, tmp_path):
+        rows = np.random.default_rng(89).normal(size=(32, self.DIM))
+        got = _fit_file(self.write(tmp_path / "e", rows))
+        want = gaussian_fit(EmbeddingSet(rows))
+        for a, b in ((got.mean, want.mean), (got.covariance, want.covariance)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("source", ["gzip", "fifo"])
+    def test_source_kind_keeps_the_bits(self, tmp_path, source):
+        rng = np.random.default_rng(97)
+        plain = self.write(tmp_path / "plain", rng.normal(size=(300, self.DIM)))
+        hyp = self.write(tmp_path / "hyp", rng.normal(size=(40, self.DIM)))
+        data, writer = plain.read_bytes(), None
+        if source == "gzip":
+            other = tmp_path / "e.gz"
+            other.write_bytes(gzip.compress(data, mtime=0))
+        else:
+            other = tmp_path / "fifo"
+            os.mkfifo(other)
+            writer = threading.Thread(target=other.write_bytes, args=(data,), daemon=True)
+            writer.start()
+        got = fcd_from_files(other, hyp)
+        if writer is not None:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert got == fcd_from_files(plain, hyp)
 
 
 class TestFcdFromFiles:

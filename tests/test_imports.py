@@ -4,8 +4,8 @@ only the evalkit modules it runs.
 
 The test process has every module loaded already, so each check starts a
 fresh interpreter, runs one import or one CLI call there, and reports
-which evalkit submodules, and which of ``csv``, ``hashlib`` and ``numpy``,
-ended up in ``sys.modules``.
+which evalkit submodules, and which of ``csv``, ``hashlib`` (and its
+OpenSSL module ``_hashlib``) and ``numpy``, ended up in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ out, code = io.StringIO(), None
 if sys.argv[2:]:
     with contextlib.redirect_stdout(out):
         code = importlib.import_module("evalkit.cli").main(sys.argv[2:])
-watched = ("csv", "hashlib", "numpy")
+watched = ("csv", "hashlib", "_hashlib", "numpy")
 modules = sorted(m for m in sys.modules
                  if m.startswith("evalkit.") or m in watched)
 print(json.dumps({"numpy": "numpy" in sys.modules, "code": code,
@@ -127,6 +127,9 @@ NOT_LOADED = {
     "validate": (["validate", fixture("smiles_grammar.txt")],
                  {"evalkit.fingerprints"}),
     "tokenize": (["tokenize", fixture("valid_smiles.txt")], {"evalkit.smiles"}),
+    # The built-in key set's digest is a literal: no OpenSSL.
+    "eval-i2d": (["eval-i2d", fixture("predictions_i2d_small.jsonl")],
+                 {"hashlib", "_hashlib", "numpy"}),
 }
 
 
