@@ -5,15 +5,15 @@ files.  The file format is one header line ``D=<dim>`` followed by one
 space-separated vector per line.  Files whose first two bytes are the gzip
 magic number are decompressed transparently.
 
-A file is read in 16 KiB pieces and never held whole; only a file the
-pieces do not parse (a fault, or values only ``float()`` reads) is read
-again whole, as bytes, and parsed a line at a time, to name the fault or
-read those values.  :func:`fcd_from_files` never holds a file's rows
-whole: it parses them in blocks of ``_BLOCK_VALUES`` values (two rows at
-least) and folds each block into a column sum and a ``D x D`` scatter, so
-it holds one row block plus ``D x D`` arrays, however many rows the file
-has.  A file that fits in one block is fitted by :func:`gaussian_fit`
-exactly as a whole matrix is.
+A file is read once, in 16 KiB pieces, and its text is never held whole,
+so a pipe is read as a regular file is.  Its lines are parsed in chunks of
+bounded text by ``np.loadtxt``, or, where NumPy rejects a chunk, a line at
+a time by ``float()``.  Wherever they are in the file, faults raise in this
+order: gzip, UTF-8, the header, the first bad line, too few rows, a
+non-finite value.  :func:`fcd_from_files` never holds a file's rows whole:
+it regroups them into blocks of ``_BLOCK_VALUES`` values (two rows at
+least) and folds each block into a column sum and a ``D x D`` scatter.  A
+file that fits in one block is fitted exactly as a whole matrix is.
 
     d^2 = ||mu_a - mu_b||^2 + Tr(S_a) + Tr(S_b) - 2 Tr((S_a^1/2 S_b S_a^1/2)^1/2)
 
@@ -27,15 +27,13 @@ from __future__ import annotations
 
 import codecs
 import gzip
-import io
 import math
 import re
-import warnings
 import zlib
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from functools import partial
 from pathlib import Path
 from typing import BinaryIO
 
@@ -47,7 +45,7 @@ from .errors import (
     InputError,
     NonFiniteInput,
     TooFewSamples,
-    read_utf8,
+    UndecodableFile,
 )
 
 
@@ -161,9 +159,10 @@ _PIECE_BYTES = 1 << 14
 # D = 512.  The fit holds one block at a time, so this bounds its memory.
 _BLOCK_VALUES = 1 << 17
 
-# What makes the piece route give up on a file and leave it to the
-# whole-text route, which names the fault.
-_STREAM_FAULTS = (EOFError, OSError, ValueError, zlib.error, InputError)
+# Characters of non-blank lines parsed by one ``np.loadtxt`` call.  Kept
+# small, like the pieces: 128 KiB chunks raised the peak memory of a
+# process that scores embedding files call after call.
+_CHUNK_CHARS = 2 * _PIECE_BYTES
 
 
 def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np.ndarray]:
@@ -174,84 +173,66 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np
     ``float()`` reads them; blank lines are skipped.  Gzip-compressed files
     are detected by magic number and decompressed.
 
-    The file is read and parsed in pieces, never held whole.  Only a file
-    the pieces do not parse (a fault, or values ``float()`` reads and NumPy
-    does not) is read again whole and parsed a line at a time, which names
-    the fault or reads those values.
+    The file is read once, in pieces, so a pipe is read as a file is, and
+    its text is never held whole.  Wherever they are in the file, faults
+    raise in this order: gzip, UTF-8, the header, the first bad line.
     """
-    path = Path(path)
-    with _open(path) as raw:
-        return _read_rows(path, raw, row_multiplier)
+    chunks = _read_chunks(Path(path), row_multiplier)
+    dim, values = next(chunks), array("d")
+    for rows in chunks:
+        values.frombytes(rows.data.cast("B"))
+    return dim, np.frombuffer(values, dtype=np.float64).reshape(-1, dim * row_multiplier)
 
 
-def _open(path: Path) -> BinaryIO:
-    # The whole-text route reads the source again from its start.  A pipe
-    # can be read only once, so its bytes are read into memory first.
-    return open(path, "rb") if path.is_file() else io.BytesIO(path.read_bytes())
+class _Rejoined:
+    """``head``, then the rest of ``stream``: the file from its start again,
+    for :class:`gzip.GzipFile`, which reads its own magic."""
+
+    def __init__(self, head: bytes, stream: BinaryIO):
+        self.head, self.stream = head, stream
+
+    def read(self, size: int) -> bytes:
+        head, self.head = self.head[:size], self.head[size:]
+        return head + self.stream.read(size - len(head))
 
 
-def _read_rows(path: Path, raw: BinaryIO, row_multiplier: int) -> tuple[int, np.ndarray]:
-    read = _stream_rows(path, raw, row_multiplier)
-    if read is None:
-        raw.seek(0)
-        read = _rows_from_text(path, _text_pieces(path, raw.read()), row_multiplier)
-    return read
+def _byte_pieces(path: Path) -> Iterator[bytes]:
+    """The file's bytes a piece at a time, gunzipped when they start with
+    the gzip magic."""
+    with open(path, "rb") as raw:
+        head = raw.read(_PIECE_BYTES)
+        if head[:2] != b"\x1f\x8b":
+            yield head
+            yield from iter(partial(raw.read, _PIECE_BYTES), b"")
+            return
+        stream = gzip.GzipFile(fileobj=_Rejoined(head, raw))
+        try:
+            yield from iter(partial(stream.read, _PIECE_BYTES), b"")
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise InputError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
 
 
-def _stream_lines(raw: BinaryIO) -> Iterator[str]:
-    """The lines of the file, gunzipped when it starts with the gzip magic
-    and decoded a piece at a time."""
-    gzipped = raw.read(2) == b"\x1f\x8b"
-    raw.seek(0)
-    stream = gzip.GzipFile(fileobj=raw) if gzipped else raw
-    return _split_pieces(_decoded_pieces(stream))
-
-
-def _stream_rows(path: Path, raw: BinaryIO,
-                 row_multiplier: int) -> tuple[int, np.ndarray] | None:
-    """The rows ``np.loadtxt`` reads from the file's lines, decoded a piece
-    at a time; None when anything in the file is not as it should be."""
-    lines = _stream_lines(raw)
-    try:
-        dim = _header_dim(path, next(lines, None))
-        with warnings.catch_warnings():
-            # A body with no data is not an error here: callers count rows.
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except _STREAM_FAULTS:
-        return None
-    return (dim, rows) if rows.shape[1] == dim * row_multiplier else None
-
-
-def _stream_blocks(path: Path, raw: BinaryIO) -> Iterator[np.ndarray]:
-    """The rows :func:`_stream_rows` reads, parsed a block of
-    :func:`_block_rows` rows at a time from the same lines.  Raises one of
-    ``_STREAM_FAULTS`` where that function returns None."""
-    lines = _stream_lines(raw)
-    dim = _header_dim(path, next(lines, None))
-    # Only the lines np.loadtxt does not skip, so that every block but the
-    # last holds exactly _block_rows rows wherever the blank lines fall.
-    rows = (line for line in lines if line and not line.isspace())
-    size = _block_rows(dim)
-    for line in rows:
-        block = np.loadtxt(chain((line,), islice(rows, size - 1)),
-                           dtype=np.float64, comments=None, ndmin=2)
-        if block.shape[1] != dim:
-            raise ValueError(f"{path}: rows of {block.shape[1]} values, not {dim}")
-        yield block
-        del block  # freed while the next block is parsed
-
-
-def _block_rows(dim: int) -> int:
-    # Two rows at least, so that the first block can be fitted on its own.
-    return max(2, _BLOCK_VALUES // dim)
-
-
-def _decoded_pieces(stream: BinaryIO) -> Iterator[str]:
+def _text_pieces(path: Path, pieces: Iterator[bytes]) -> Iterator[str]:
+    """The UTF-8 text of ``pieces``, decoded a piece at a time.  A byte that
+    does not decode raises once the rest of the pieces are read, with the
+    message and offset a decode of the whole file gives."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    while piece := stream.read(_PIECE_BYTES):
-        yield decoder.decode(piece)
-    yield decoder.decode(b"", final=True)
+    fed = 0
+    try:
+        for piece in pieces:
+            yield decoder.decode(piece)
+            fed += len(piece)
+        yield decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:
+        for _ in pieces:  # a gzip fault later in the file comes first
+            pass
+        # The offsets count from the bytes the decoder held back.
+        start = fed - len(decoder.getstate()[0]) + exc.start
+        end = start + exc.end - exc.start
+        where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+                 if end - start == 1 else f"bytes in position {start}-{end - 1}")
+        raise UndecodableFile(f"{path}: not UTF-8 text ('utf-8' codec can't "
+                              f"decode {where}: {exc.reason})") from None
 
 
 def _split_pieces(pieces: Iterable[str]) -> Iterator[str]:
@@ -284,45 +265,54 @@ def _header_dim(path: Path, first: str | None) -> int:
     return dim
 
 
-def _text_pieces(path: Path, raw: bytes) -> Iterator[str]:
-    """The text of the file's bytes, a piece at a time, gunzipped first
-    when they start with the gzip magic.  Bytes that do not decode raise
-    here, before any line is read, with :func:`read_utf8`'s message."""
-    if raw[:2] == b"\x1f\x8b":
-        try:
-            raw = gzip.decompress(raw)
-        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-            raise InputError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
-    # Decoded twice, a piece at a time, so that the text is never held
-    # whole next to the bytes: once to find a fault, and once to read.
+def _read_chunks(path: Path, row_multiplier: int) -> Iterator[int | np.ndarray]:
+    """The file's dimension, then its rows, parsed a chunk of about
+    ``_CHUNK_CHARS`` characters of non-blank lines at a time.  A fault in
+    the header or a line raises once the rest of the file is decoded."""
+    lines = _split_pieces(_text_pieces(path, _byte_pieces(path)))
+    chunk: list[tuple[int, str]] = []
+    chars = 0
     try:
-        for _ in _decoded_pieces(io.BytesIO(raw)):
+        dim = _header_dim(path, next(lines, None))
+        yield dim
+        expected = dim * row_multiplier
+        for lineno, line in enumerate(lines, start=2):
+            if line and not line.isspace():
+                chunk.append((lineno, line))
+                chars += len(line)
+                if chars >= _CHUNK_CHARS:
+                    # The lines, then the rows, are freed before the next chunk.
+                    rows, chunk, chars = _chunk_rows(path, chunk, expected), [], 0
+                    yield rows
+                    del rows
+        if chunk:
+            yield _chunk_rows(path, chunk, expected)
+    except InputError:
+        for _ in lines:  # a gzip or UTF-8 fault later in the file comes first
             pass
-    except UnicodeDecodeError:
-        read_utf8(path, raw)  # raises, giving the offset in the whole text
-    return _decoded_pieces(io.BytesIO(raw))
+        raise
 
 
-def _rows_from_text(path: Path, pieces: Iterable[str],
-                    row_multiplier: int) -> tuple[int, np.ndarray]:
-    """The whole-text route: the file's text, from its pieces, read a line
-    at a time."""
-    lines = _split_pieces(pieces)
-    dim = _header_dim(path, next(lines, None))
-    expected = dim * row_multiplier
-    return dim, _rows_by_line(path, lines, expected).reshape(-1, expected)
+def _chunk_rows(path: Path, chunk: list[tuple[int, str]], expected: int) -> np.ndarray:
+    """The rows of numbered non-blank lines: ``np.loadtxt``'s, when it reads
+    one row of ``expected`` values from each line, else :func:`_rows_by_line`'s."""
+    try:
+        rows = np.loadtxt([line for _, line in chunk], dtype=np.float64,
+                          comments=None, ndmin=2)
+        if rows.shape == (len(chunk), expected):
+            return rows
+    except ValueError:
+        pass
+    return _rows_by_line(path, chunk, expected)
 
 
-def _rows_by_line(path: Path, lines: Iterator[str], expected: int) -> np.ndarray:
-    """The values ``np.loadtxt`` cannot give, from the lines after the
-    header: this names the first bad line, and reads what ``float()`` reads
-    and NumPy does not (``1_0``, digits of other scripts).  Each row goes
-    straight into float64 storage, so no row is held as Python floats."""
+def _rows_by_line(path: Path, chunk: list[tuple[int, str]], expected: int) -> np.ndarray:
+    """The rows of numbered non-blank lines, read by ``float()``: this names
+    the first bad line, and reads what NumPy does not (``1_0``, digits of
+    other scripts) straight into float64 storage, never as Python floats."""
     values = array("d")
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in chunk:
         fields = line.split()
-        if not fields:
-            continue
         if len(fields) != expected:
             raise InputError(
                 f"{path} line {lineno}: expected {expected} values, got {len(fields)}")
@@ -331,7 +321,7 @@ def _rows_by_line(path: Path, lines: Iterator[str], expected: int) -> np.ndarray
         except ValueError:
             raise InputError(
                 f"{path} line {lineno}: non-numeric value") from None
-    return np.frombuffer(values, dtype=np.float64)
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, expected)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingSet:
@@ -361,28 +351,40 @@ def fcd_from_files(path_a: str | Path, path_b: str | Path) -> float:
 
 
 def _fit_file(path: Path) -> GaussianStats:
-    """The Gaussian of an embedding file's rows, folded block by block as
-    they are parsed.
-
-    A file the blocks do not read (one :func:`_stream_rows` rejects, one
-    with a non-finite value, or one with fewer than two rows) is read as
-    :func:`load_embeddings` reads it, which raises its error, and its
-    matrix is folded in the same blocks, so the fit depends on the values
-    and not on the route."""
-    with _open(path) as raw:
-        try:
-            return _fit_blocks(_stream_blocks(path, raw))
-        except _STREAM_FAULTS:
+    """The Gaussian of an embedding file's rows, folded a block at a time as
+    they are parsed (see :func:`_row_blocks`), so that the fit depends only
+    on the values.  It raises what :func:`load_embeddings` raises."""
+    chunks = _read_chunks(path, 1)
+    try:
+        return _fit_blocks(path, _row_blocks(chunks, next(chunks)))
+    except NonFiniteInput:
+        for _ in chunks:  # a fault later in the file comes first
             pass
-        raw.seek(0)
-        dim, rows = _read_rows(path, raw, 1)
-    vectors = _embedding_set(path, rows).vectors
-    size = _block_rows(dim)
-    return _fit_blocks(vectors[start:start + size]
-                       for start in range(0, len(vectors), size))
+        raise
 
 
-def _fit_blocks(blocks: Iterator[np.ndarray]) -> GaussianStats:
+def _row_blocks(chunks: Iterator[np.ndarray], dim: int) -> Iterator[np.ndarray]:
+    """The rows of ``chunks`` in blocks of ``_BLOCK_VALUES`` values, the
+    last one shorter, all made in one buffer: each block is overwritten by
+    the next.  Two rows at least, so that the first block can be fitted on
+    its own."""
+    size, block, filled = max(2, _BLOCK_VALUES // dim), None, 0
+    for rows in chunks:
+        if block is None:
+            block = np.empty((size, dim))
+        while len(rows):
+            take = min(size - filled, len(rows))
+            block[filled:filled + take] = rows[:take]
+            rows, filled = rows[take:], filled + take
+            if filled == size:
+                yield block
+                filled = 0
+        del rows  # freed before the next chunk is read
+    if filled:
+        yield block[:filled]
+
+
+def _fit_blocks(path: Path, blocks: Iterator[np.ndarray]) -> GaussianStats:
     """The Gaussian of the rows of ``blocks``, which it overwrites.
 
     The first block is fitted by :func:`gaussian_fit`, and when it is the
@@ -391,13 +393,10 @@ def _fit_blocks(blocks: Iterator[np.ndarray]) -> GaussianStats:
     scatter ``BᵀB`` a block at a time, and the scatter is centred once at
     the end (Chan, Golub & LeVeque 1983).  The shift keeps the sums small,
     so the centring cancels little."""
-    first = next(blocks, None)
-    if first is None:
-        raise TooFewSamples("need at least 2 embedding rows, got 0")
-    fit = gaussian_fit(EmbeddingSet(first), overwrite_input=True)
-    # gaussian_fit left ``first`` centred on the shift, its mean.
-    count, total = len(first), first.sum(axis=0)
-    del first
+    first = _embedding_set(path, next(blocks, np.empty((0, 0))))
+    fit = gaussian_fit(first, overwrite_input=True)
+    # gaussian_fit left the rows centred on the shift, their mean.
+    count, total = len(first), first.vectors.sum(axis=0)
     block = next(blocks, None)
     if block is None:
         return fit
@@ -414,7 +413,6 @@ def _fit_blocks(blocks: Iterator[np.ndarray]) -> GaussianStats:
             total += block.sum(axis=0)
             scatter += block.T @ block
             count += len(block)
-            del block  # freed before the next block is parsed
             block = next(blocks, None)
         centre = total / count
         scatter -= np.outer(centre, centre) * count

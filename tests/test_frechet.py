@@ -1,6 +1,7 @@
 """Frechet distance numerics and embedding file parsing tests."""
 
 import gzip
+import io
 import os
 import random
 import re
@@ -416,10 +417,12 @@ def test_reader_spanning_many_pieces_agrees_with_line_oracle(tmp_path):
 
 def _whole_text_result(path, data: bytes, expected: int) -> np.ndarray:
     """What reading ``data`` as a whole text gives: the per-line oracle's
-    rows, or the error the whole-text reader raises."""
+    rows, or the error a reader of the whole text raises."""
     if data[:2] == b"\x1f\x8b":
         try:
-            data = gzip.decompress(data)
+            # gzip.decompress as Python 3.10 has it: the CRC fault names
+            # both checksums on every version.
+            data = gzip.GzipFile(fileobj=io.BytesIO(data)).read()
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise InputError(f"{path}: truncated or corrupt gzip data ({exc})") from None
     try:
@@ -520,8 +523,8 @@ class TestReaderPieces:
     @pytest.mark.parametrize("body", ["1 2\n3 4\n", "1_0 2\n3 4\n", "1 2 3\n"],
                              ids=["plain", "float-only", "fields"])
     def test_pipe_is_read_once(self, tmp_path, body):
-        # A pipe cannot be read a second time, so the whole-text route must
-        # start from the bytes already read.
+        # A pipe can be read only once, so every value and every fault must
+        # come from the one pass over it.
         data = ("D=2\n" + body).encode()
         path = tmp_path / "fifo"
         os.mkfifo(path)
@@ -537,6 +540,50 @@ class TestReaderPieces:
             assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
         writer.join(timeout=10)
         assert not writer.is_alive()
+
+    # A fault in the content of the first piece, then a fault of the stream
+    # pieces later, past the first chunk of lines: one pass must read on
+    # past the first fault to raise the second.
+    @pytest.mark.parametrize("content,stream", [
+        (b"D=two\n", "undecodable"), (b"D=two\n", "truncated"),
+        (b"D=2\n1 x\n", "undecodable"), (b"D=2\n1 x\n", "truncated"),
+        (b"D=2\n1 \xff\n", "truncated"),
+    ], ids=["header-utf8", "header-gzip", "line-utf8", "line-gzip", "utf8-gzip"])
+    def test_stream_fault_after_content_fault(self, tmp_path, content, stream):
+        data = content + _many_rows(random.Random(101), 3000).encode()
+        at = len(data) * 3 // 4
+        assert at > 4 * _PIECE_BYTES
+        if stream == "undecodable":
+            data = data[:at] + b"\xff" + data[at:]
+        else:
+            data = gzip.compress(data, mtime=0)
+            data = data[:len(data) * 3 // 4]
+        path = tmp_path / "e"
+        path.write_bytes(data)
+        with pytest.raises(InputError) as want:
+            _whole_text_result(path, data, 2)
+        assert type(want.value) is UndecodableFile or "gzip" in str(want.value)
+        for read in (read_vector_rows, _fit_file):
+            with pytest.raises(type(want.value)) as info:
+                read(path)
+            assert str(info.value) == str(want.value)
+
+    def test_fcd_line_fault_after_non_finite_block(self, tmp_path, monkeypatch):
+        """A NaN row in a block the FCD fit folds before it parses a bad
+        line in a later chunk: the fit raises the line's error."""
+        monkeypatch.setattr(frechet, "_BLOCK_VALUES", 4)  # two rows at D = 2
+        rng = random.Random(103)
+        text = ("D=2\n" + _many_rows(rng, 10) + "nan 1\n" + _many_rows(rng, 3000)
+                + "1 2 3\n")
+        assert len(text) > 2 * _PIECE_BYTES
+        data = text.encode()
+        path = tmp_path / "e"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="line 3013: expected 2 values") as want:
+            _whole_text_result(path, data, 2)
+        with pytest.raises(InputError) as info:
+            _fit_file(path)
+        assert (type(info.value), str(info.value)) == (type(want.value), str(want.value))
 
 
 class TestMemoryBound:
@@ -580,15 +627,15 @@ class TestMemoryBound:
             lambda: _mean_paired_cosine(files["paired"], self.ROWS)) <= 1.5
 
     def test_value_only_float_reads(self, files, tmp_path):
-        """One ``1_0`` sends the file down the whole-text route.  Holding
-        the text, its lines and every value as a Python float, that route
-        peaked at 10.3 matrices; half of that is the bound."""
+        """One ``1_0`` makes ``np.loadtxt`` reject its chunk, which alone is
+        read again, from memory, a line at a time by ``float()``: the bound
+        is the plain file's."""
         text = files["a"].read_text("ascii")
         plain, underscore = tmp_path / "plain.txt", tmp_path / "underscore.txt"
         last = text.rindex(" ") + 1
         plain.write_text(text[:last] + "10\n", "ascii")
         underscore.write_text(text[:last] + "1_0\n", "ascii")
-        assert self.peak_ratio(lambda: read_vector_rows(underscore)) <= 5.15
+        assert self.peak_ratio(lambda: read_vector_rows(underscore)) <= 1.5
         dim, rows = read_vector_rows(underscore)
         want_dim, want = read_vector_rows(plain)
         assert (dim, rows.shape, rows.dtype) == (want_dim, want.shape, want.dtype)
@@ -607,15 +654,47 @@ class TestMemoryBound:
         assert self.peak_ratio(lambda: fcd_from_files(longer, files["b"])) <= base + 0.05
 
     def test_fcd_of_value_only_float_reads(self, files, tmp_path):
-        """A ``1_0`` in the last block sends the file down the whole-text
-        route, whose matrix is folded in the same blocks: the FCD bits of
-        the file with ``10``."""
+        """A ``1_0`` in the last block is read by ``float()`` into the same
+        block as ``10`` would be: the FCD bits of the file with ``10``."""
         text = files["a"].read_text("ascii")
         plain, underscore = tmp_path / "plain.txt", tmp_path / "underscore.txt"
         last = text.rindex(" ") + 1
         plain.write_text(text[:last] + "10\n", "ascii")
         underscore.write_text(text[:last] + "1_0\n", "ascii")
         assert fcd_from_files(underscore, files["b"]) == fcd_from_files(plain, files["b"])
+
+    @staticmethod
+    def through_fifo(folder, data: bytes, read):
+        """A call of ``read`` on a FIFO that a thread fills with ``data``."""
+        def call():
+            path = folder / "fifo"
+            path.unlink(missing_ok=True)
+            os.mkfifo(path)
+            writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+            writer.start()
+            try:
+                return read(path)
+            finally:
+                writer.join(timeout=10)
+                assert not writer.is_alive()
+        return call
+
+    def test_read_through_fifo(self, files, tmp_path):
+        """A pipe is read in one pass, as a file is, not copied whole into
+        memory first."""
+        call = self.through_fifo(tmp_path, files["a"].read_bytes(), read_vector_rows)
+        assert self.peak_ratio(call) <= 1.5
+
+    def test_fcd_of_value_only_float_reads_holds_one_block(self, files, tmp_path):
+        text = files["a"].read_text("ascii")
+        underscore = tmp_path / "underscore.txt"
+        underscore.write_text(text[:text.rindex(" ") + 1] + "1_0\n", "ascii")
+        assert self.peak_ratio(lambda: fcd_from_files(underscore, files["b"])) <= 0.5
+
+    def test_fcd_through_fifo_holds_one_block(self, files, tmp_path):
+        call = self.through_fifo(tmp_path, files["a"].read_bytes(),
+                                 lambda path: fcd_from_files(path, files["b"]))
+        assert self.peak_ratio(call) <= 0.5
 
 
 class TestBlockFold:
