@@ -42,22 +42,7 @@ _LAZY = {
     ), "tokenizer"),
 }
 
-__all__ = [
-    "Atom", "Bond", "BondOrder", "Chirality", "CorpusPair", "D2IReport",
-    "DEFAULT_KEYSET", "DEFAULT_SPECIALS", "DatasetStats", "DrugRecord",
-    "EmbeddingSet", "Fingerprint", "GaussianStats", "I2DReport",
-    "IngestReport", "KeyDescriptor", "KeySet", "Molecule", "PairSet",
-    "PredictionFile", "PredictionRow", "SplitSpec", "Task", "Token",
-    "TokenKind", "TokenMode", "TokenSequence", "ValidityReport",
-    "Vocabulary", "bleu", "build_vocab", "decode", "detokenize", "encode",
-    "eval_d2i", "eval_i2d", "exact_match", "fcd_from_files", "fnv1a64",
-    "frechet_distance", "gaussian_fit", "ingest", "key_fingerprint",
-    "levenshtein", "load_embeddings", "load_predictions", "meteor",
-    "molecular_formula", "morgan_fingerprint", "ngram_overlaps",
-    "parse_smiles", "path_fingerprint", "render_report", "report_from_json",
-    "rouge_l", "rouge_n", "split", "stats", "strict_valence_ok", "tanimoto",
-    "tokenize", "tokenize_text", "validate", "write_jsonl",
-]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

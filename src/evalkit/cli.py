@@ -10,26 +10,32 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterator
 
 from . import harness
-from .errors import EvalkitError, InputError, NumericError, read_utf8
+from .errors import EvalkitError, InputError, NumericError, utf8_lines
 
 # The other evalkit modules are imported by the commands that use them, so
 # a process loads only what its command runs: eval-d2i never loads the
 # SMILES parser, the fingerprints or NumPy.
 
 
-def _read_lines(path: str | None) -> list[str]:
+def _read_lines(path: str | None) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of the file, or of standard input, stripped and
+    with its line number in the file."""
     if path is None or path == "-":
         # Decode the bytes here: the text stream's decoding follows the
         # locale and may pass bytes that are not UTF-8.  A stream without
         # bytes underneath (a StringIO, say) is read as text.
         buffer = getattr(sys.stdin, "buffer", None)
-        text = (sys.stdin.read() if buffer is None
-                else read_utf8("standard input", buffer.read()))
+        lines = (sys.stdin if buffer is None
+                 else utf8_lines("standard input", stream=buffer))
     else:
-        text = read_utf8(path)
-    return [line for line in (l.strip() for l in text.splitlines()) if line]
+        lines = utf8_lines(path)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line:
+            yield lineno, line
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -85,7 +91,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 def _cmd_tokenize(args: argparse.Namespace) -> int:
     from .tokenizer import tokenize
 
-    for line in _read_lines(args.path):
+    for _, line in _read_lines(args.path):
         seq = tokenize(line)
         print(" ".join(token.text for token in seq.tokens))
     return 0
@@ -94,7 +100,7 @@ def _cmd_tokenize(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .smiles import validate
 
-    lines = _read_lines(args.path)
+    lines = [line for _, line in _read_lines(args.path)]
     if not lines:
         raise InputError("no input lines to validate")
     valid = 0
@@ -122,7 +128,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
         fp._require_width(args.bits)
         fp._require_max_path(args.max_path)
     keyset = fp.KeySet.load(args.keyset) if args.keyset else fp.DEFAULT_KEYSET
-    for lineno, line in enumerate(_read_lines(args.path), start=1):
+    for lineno, line in _read_lines(args.path):
         try:
             mol = parse_smiles(line)
         except EvalkitError as exc:
@@ -182,7 +188,7 @@ def _cmd_eval_i2d(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    text = read_utf8(args.report)
+    text = "".join(utf8_lines(args.report, newline=""))
     report = harness.report_from_json(text)
     sys.stdout.write(harness.render_report(report, args.format))
     return 0

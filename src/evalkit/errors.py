@@ -6,15 +6,19 @@ parseable input, mismatched schemes), and :class:`NumericError` covers
 internal numerical failures.  The command line maps the former to exit code 1
 and the latter to exit code 2.
 
-The toolkit reads every user text file through :func:`read_utf8` or
-:func:`utf8_lines`, so that bytes which are not UTF-8 raise an
-:class:`InputError` naming the file.
+Every user text file but an embedding file is read through
+:func:`utf8_lines`, which splits it into lines as ``open()`` does, a line
+at a time, and raises :class:`UndecodableFile` naming the file and the
+position of a byte that is not UTF-8.  :func:`not_utf8` words that fault,
+for it and for the embedding reader in :mod:`evalkit.frechet`.
 """
 
 from __future__ import annotations
 
+import io
 from collections.abc import Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 
 class EvalkitError(Exception):
@@ -153,28 +157,42 @@ class UndecodableFile(InputError):
     """A text file holds bytes that are not valid UTF-8."""
 
 
-def read_utf8(path: str | Path, data: bytes | None = None) -> str:
-    """The UTF-8 text of the file at ``path``, or of ``data`` when given
-    (its bytes after decompression, say), with line endings as they are.
+def not_utf8(path: str | Path, exc: UnicodeDecodeError,
+             offset: int) -> UndecodableFile:
+    """The error for the bytes of ``path`` that ``exc`` could not decode,
+    when ``exc.object`` starts ``offset`` bytes into the file: worded as a
+    decode of the whole file words it."""
+    start, end = offset + exc.start, offset + exc.end
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+             if end - start == 1 else f"bytes in position {start}-{end - 1}")
+    return UndecodableFile(f"{path}: not UTF-8 text ('{exc.encoding}' codec "
+                           f"can't decode {where}: {exc.reason})")
 
-    Bytes that do not decode raise :class:`UndecodableFile` naming ``path``.
+
+def utf8_lines(path: str | Path, newline: str | None = None,
+               stream: BinaryIO | None = None) -> Iterator[str]:
+    """The lines of ``path``, or of the bytes of ``stream`` when given (its
+    name is then ``path``), one at a time: the lines of ``open(path,
+    encoding="utf-8", newline=newline)``, split at ``\n``, ``\r\n`` and
+    ``\r`` alone and at no other character.
+
+    A byte that is not UTF-8 raises :class:`UndecodableFile` naming ``path``
+    and the byte's position in the file, once the lines before it are read.
     """
-    if data is None:
-        data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise UndecodableFile(f"{path}: not UTF-8 text ({exc})") from exc
-
-
-def utf8_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
-    """The lines of ``path``, read one at a time as from ``open(path,
-    encoding="utf-8", newline=newline)``.
-
-    Bytes that do not decode raise :class:`UndecodableFile` naming ``path``.
-    """
-    with open(path, encoding="utf-8", newline=newline) as handle:
+    if stream is None:
+        with open(path, "rb") as raw:
+            yield from utf8_lines(path, newline, raw)
+        return
+    offset = 0
+    # Binary lines end at b"\n", which is never part of a multi-byte
+    # character, and "\r\n" never spans two of them.
+    for data in stream:
         try:
-            yield from handle
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise UndecodableFile(f"{path}: not UTF-8 text ({exc})") from exc
+            raise not_utf8(path, exc, offset) from exc
+        offset += len(data)
+        if "\r" in text:
+            yield from io.StringIO(text, newline=newline)
+        else:
+            yield text

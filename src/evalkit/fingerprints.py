@@ -33,7 +33,7 @@ from functools import cache, cached_property
 from pathlib import Path
 
 from .elements import ELEMENTS
-from .errors import InputError, SchemeMismatch, read_utf8
+from .errors import InputError, SchemeMismatch, utf8_lines
 from .smiles import BondOrder, Molecule
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -423,8 +423,8 @@ class KeySet:
     def load(cls, path: str | Path) -> "KeySet":
         """Read ``<id><TAB><descriptor>`` lines; ids must count up from 0."""
         keys = []
-        for lineno, line in enumerate(
-                read_utf8(path).splitlines(), start=1):
+        for lineno, line in enumerate(utf8_lines(path), start=1):
+            line = line.removesuffix("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             fields = line.split("\t")

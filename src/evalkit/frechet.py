@@ -45,26 +45,28 @@ from .errors import (
     InputError,
     NonFiniteInput,
     TooFewSamples,
-    UndecodableFile,
+    not_utf8,
 )
 
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """A matrix of row vectors, at least two rows, all finite."""
+    """A matrix of row vectors, at least two rows, all finite.  A fault's
+    message starts with ``source_label``, when there is one."""
 
     vectors: np.ndarray
     source_label: str = ""
 
     def __post_init__(self) -> None:
+        label = f"{self.source_label}: " if self.source_label else ""
         array = np.asarray(self.vectors, dtype=np.float64)
         if array.ndim != 2:
-            raise InputError("embeddings must form a 2-D array of row vectors")
+            raise InputError(f"{label}embeddings must form a 2-D array of row vectors")
         if array.shape[0] < 2:
             raise TooFewSamples(
-                f"need at least 2 embedding rows, got {array.shape[0]}")
+                f"{label}need at least 2 embedding rows, got {array.shape[0]}")
         if not np.isfinite(array).all():
-            raise NonFiniteInput("embeddings contain NaN or infinite values")
+            raise NonFiniteInput(f"{label}embeddings contain NaN or infinite values")
         object.__setattr__(self, "vectors", array)
 
     @property
@@ -226,13 +228,8 @@ def _text_pieces(path: Path, pieces: Iterator[bytes]) -> Iterator[str]:
     except UnicodeDecodeError as exc:
         for _ in pieces:  # a gzip fault later in the file comes first
             pass
-        # The offsets count from the bytes the decoder held back.
-        start = fed - len(decoder.getstate()[0]) + exc.start
-        end = start + exc.end - exc.start
-        where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
-                 if end - start == 1 else f"bytes in position {start}-{end - 1}")
-        raise UndecodableFile(f"{path}: not UTF-8 text ('utf-8' codec can't "
-                              f"decode {where}: {exc.reason})") from None
+        # exc.object starts with the bytes the decoder held back.
+        raise not_utf8(path, exc, fed - len(decoder.getstate()[0])) from None
 
 
 def _split_pieces(pieces: Iterable[str]) -> Iterator[str]:
@@ -327,13 +324,6 @@ def _rows_by_line(path: Path, chunk: list[tuple[int, str]], expected: int) -> np
 def load_embeddings(path: str | Path) -> EmbeddingSet:
     """Read an embedding file (``D=<dim>`` header, one vector per line)."""
     _, rows = read_vector_rows(path)
-    return _embedding_set(path, rows)
-
-
-def _embedding_set(path: str | Path, rows: np.ndarray) -> EmbeddingSet:
-    if len(rows) < 2:
-        raise TooFewSamples(
-            f"{path}: need at least 2 embedding rows, got {len(rows)}")
     return EmbeddingSet(rows, source_label=str(path))
 
 
@@ -393,7 +383,7 @@ def _fit_blocks(path: Path, blocks: Iterator[np.ndarray]) -> GaussianStats:
     scatter ``BᵀB`` a block at a time, and the scatter is centred once at
     the end (Chan, Golub & LeVeque 1983).  The shift keeps the sums small,
     so the centring cancels little."""
-    first = _embedding_set(path, next(blocks, np.empty((0, 0))))
+    first = EmbeddingSet(next(blocks, np.empty((0, 0))), source_label=str(path))
     fit = gaussian_fit(first, overwrite_input=True)
     # gaussian_fit left the rows centred on the shift, their mean.
     count, total = len(first), first.vectors.sum(axis=0)
@@ -408,7 +398,8 @@ def _fit_blocks(path: Path, blocks: Iterator[np.ndarray]) -> GaussianStats:
     with np.errstate(over="ignore", invalid="ignore"):
         while block is not None:
             if not np.isfinite(block).all():
-                raise NonFiniteInput("embeddings contain NaN or infinite values")
+                raise NonFiniteInput(
+                    f"{path}: embeddings contain NaN or infinite values")
             block -= shift
             total += block.sum(axis=0)
             scatter += block.T @ block

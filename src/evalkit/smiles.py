@@ -134,8 +134,8 @@ class Molecule:
     @cached_property
     def ring_bond_flags(self) -> tuple[bool, ...]:
         """True for each bond that lies on at least one cycle (a non-bridge)."""
-        bridges = _find_bridges(len(self.atoms), self.bonds)
-        return tuple(i not in bridges for i in range(len(self.bonds)))
+        bridges = _find_bridges(self)
+        return tuple(bond not in bridges for bond in self.bonds)
 
     @cached_property
     def ring_atom_flags(self) -> tuple[bool, ...]:
@@ -196,34 +196,30 @@ class Molecule:
         return self.implicit_h[idx]
 
 
-def _find_bridges(n_atoms: int, bonds: tuple[Bond, ...]) -> set[int]:
-    """Bond indices that are bridges (removing one disconnects its component)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
-    for i, bond in enumerate(bonds):
-        adj[bond.from_idx].append((bond.to_idx, i))
-        adj[bond.to_idx].append((bond.from_idx, i))
-
-    disc = [-1] * n_atoms
-    low = [0] * n_atoms
-    bridges: set[int] = set()
+def _find_bridges(mol: Molecule) -> set[Bond]:
+    """The bonds that are bridges (removing one disconnects its component)."""
+    adj = mol.neighbors
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    bridges: set[Bond] = set()
     counter = 0
-    for root in range(n_atoms):
+    for root in range(len(adj)):
         if disc[root] != -1:
             continue
-        # Iterative DFS; each stack frame remembers the edge it arrived by.
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        # Iterative DFS; each stack frame remembers the bond it arrived by.
+        stack: list[tuple[int, Bond | None, int]] = [(root, None, 0)]
         while stack:
-            node, in_edge, child_pos = stack[-1]
+            node, in_bond, child_pos = stack[-1]
             if disc[node] == -1:
                 disc[node] = low[node] = counter
                 counter += 1
             if child_pos < len(adj[node]):
-                stack[-1] = (node, in_edge, child_pos + 1)
-                nbr, edge = adj[node][child_pos]
-                if edge == in_edge:
+                stack[-1] = (node, in_bond, child_pos + 1)
+                nbr, bond = adj[node][child_pos]
+                if bond is in_bond:
                     continue
                 if disc[nbr] == -1:
-                    stack.append((nbr, edge, 0))
+                    stack.append((nbr, bond, 0))
                 else:
                     low[node] = min(low[node], disc[nbr])
             else:
@@ -232,7 +228,7 @@ def _find_bridges(n_atoms: int, bonds: tuple[Bond, ...]) -> set[int]:
                     parent = stack[-1][0]
                     low[parent] = min(low[parent], low[node])
                     if low[node] > disc[parent]:
-                        bridges.add(in_edge)
+                        bridges.add(in_bond)
     return bridges
 
 

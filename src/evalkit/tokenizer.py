@@ -32,7 +32,7 @@ from .errors import (
     InputError,
     SmilesParseError,
     UnterminatedBracket,
-    read_utf8,
+    utf8_lines,
 )
 
 DEFAULT_SPECIALS: tuple[str, ...] = ("<pad>", "<unk>", "<s>", "</s>", "<mask>")
@@ -189,7 +189,7 @@ class Vocabulary:
         format itself does not mark which entries are special.
         """
         specials = tuple(specials)
-        lines = read_utf8(path).splitlines()
+        lines = [line.removesuffix("\n") for line in utf8_lines(path)]
         if tuple(lines[:len(specials)]) != specials:
             raise InputError(
                 f"vocabulary file {path} does not begin with specials {specials}")

@@ -160,6 +160,27 @@ class TestTokenizeValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1
 
+    # U+2028 is not a line break in a file; str.splitlines() once made two
+    # lines of this one.
+    @pytest.mark.parametrize("command,expected", [
+        ("validate", ["FAIL unexpected character '\\u2028' (at offset 2)",
+                      "validity 0.0000 (0/1)"]),
+        ("tokenize", None),
+        ("fingerprint", None),
+    ])
+    def test_line_holding_line_separator_is_one_line(self, capsys, tmp_path,
+                                                     command, expected):
+        path = tmp_path / "in.txt"
+        path.write_bytes("CC\u2028CC\n".encode("utf-8"))
+        code, out, err = run(capsys, command, str(path))
+        if expected is None:
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code == 0
+            assert out.splitlines() == expected
+
 
 class TestFingerprint:
     def test_hex_line_per_molecule(self, capsys, tmp_path):
@@ -188,6 +209,16 @@ class TestFingerprint:
         code, _, err = run(capsys, "fingerprint", str(path))
         assert code == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize("body", ["CC\n\nXX\n", "CC\r\n \r\nXX\r\n", "CC\r\rXX"],
+                             ids=["lf", "crlf", "cr"])
+    def test_line_number_counts_blank_lines(self, capsys, tmp_path, body):
+        path = tmp_path / "in.txt"
+        path.write_bytes(body.encode("utf-8"))
+        code, out, err = run(capsys, "fingerprint", str(path))
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert err.startswith("error: input line 3: ")
 
     @pytest.mark.parametrize("scheme,flag,value,message", [
         ("morgan", "--bits", "3", "fingerprint width must be a power of two >= 4, got 3"),

@@ -778,6 +778,21 @@ class TestFcdFromFiles:
         with pytest.raises(DimensionMismatch):
             fcd_from_files(a, b)
 
+    # Blocks of two rows: row 0 lies in the first block, row 5 in the third.
+    @pytest.mark.parametrize("row", [0, 5], ids=["first-block", "later-block"])
+    def test_non_finite_value_names_the_file(self, tmp_path, monkeypatch, row):
+        monkeypatch.setattr(frechet, "_BLOCK_VALUES", 1)
+        rows = [[float(i), 1.0] for i in range(8)]
+        rows[row][1] = float("nan")
+        path = write_embedding_file(tmp_path / "e.txt", rows)
+        other = write_embedding_file(tmp_path / "o.txt", [[0.0, 1.0], [1.0, 0.0]])
+        message = f"{path}: embeddings contain NaN or infinite values"
+        with pytest.raises(NonFiniteInput) as loaded:
+            load_embeddings(path)
+        with pytest.raises(NonFiniteInput) as fitted:
+            fcd_from_files(other, path)
+        assert str(loaded.value) == str(fitted.value) == message
+
     def test_fixtures_equal_fcd_of_line_oracle_rows(self, fixtures_dir):
         fits = []
         for name in ("embeddings_ref.txt", "embeddings_hyp.txt"):

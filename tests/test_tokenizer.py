@@ -189,6 +189,14 @@ class TestVocabulary:
         assert loaded.tokens == vocab.tokens
         assert loaded.id_of("c") == vocab.id_of("c")
 
+    # str.splitlines() once cut these tokens in two, which shifted every
+    # later id.
+    def test_save_load_round_trips_line_breaks_in_brackets(self, tmp_path):
+        vocab = build_vocab(["C[C\x85]O", "[N\x0c]", "[O\u2028]C", "CC"])
+        path = tmp_path / "vocab.txt"
+        vocab.save(path)
+        assert Vocabulary.load(path) == vocab
+
     def test_load_rejects_wrong_specials(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("C\nO\n")
