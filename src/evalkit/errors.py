@@ -169,12 +169,32 @@ def not_utf8(path: str | Path, exc: UnicodeDecodeError,
                            f"can't decode {where}: {exc.reason})")
 
 
+_PIECE = 1 << 14
+
+
+def _whole_lines(stream: BinaryIO) -> Iterator[bytes]:
+    """The bytes of ``stream``, read a fixed-size piece at a time, in runs
+    that each end where a line does (at ``\n``, ``\r\n`` or ``\r``).  A run
+    is shorter than two pieces unless one line is longer than a piece."""
+    rest: list[bytes] = []  # bytes read that do not end a line yet
+    while piece := stream.read(_PIECE):
+        # Cut after the piece's last line ending, unless that is a "\r" at
+        # its very end: the next piece may start with the "\n" of "\r\n".
+        cut = max(piece.rfind(b"\n"), piece.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield b"".join([*rest, piece[:cut]])
+            rest = []
+        rest.append(piece[cut:])
+    yield b"".join(rest)
+
+
 def utf8_lines(path: str | Path, newline: str | None = None,
                stream: BinaryIO | None = None) -> Iterator[str]:
     """The lines of ``path``, or of the bytes of ``stream`` when given (its
     name is then ``path``), one at a time: the lines of ``open(path,
     encoding="utf-8", newline=newline)``, split at ``\n``, ``\r\n`` and
-    ``\r`` alone and at no other character.
+    ``\r`` alone and at no other character.  The file is read in
+    fixed-size pieces, so whatever its line endings it is never held whole.
 
     A byte that is not UTF-8 raises :class:`UndecodableFile` naming ``path``
     and the byte's position in the file, once the lines before it are read.
@@ -184,15 +204,14 @@ def utf8_lines(path: str | Path, newline: str | None = None,
             yield from utf8_lines(path, newline, raw)
         return
     offset = 0
-    # Binary lines end at b"\n", which is never part of a multi-byte
-    # character, and "\r\n" never spans two of them.
-    for data in stream:
+    # A run of whole lines decodes as it would within the whole file: no
+    # line ending byte is ever part of a multi-byte character.
+    for data in _whole_lines(stream):
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
+            ends = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start))
+            yield from io.StringIO(data[:ends + 1].decode("utf-8"), newline=newline)
             raise not_utf8(path, exc, offset) from exc
+        yield from io.StringIO(text, newline=newline)
         offset += len(data)
-        if "\r" in text:
-            yield from io.StringIO(text, newline=newline)
-        else:
-            yield text

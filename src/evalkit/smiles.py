@@ -135,7 +135,7 @@ class Molecule:
     def ring_bond_flags(self) -> tuple[bool, ...]:
         """True for each bond that lies on at least one cycle (a non-bridge)."""
         bridges = _find_bridges(self)
-        return tuple(bond not in bridges for bond in self.bonds)
+        return tuple(id(bond) not in bridges for bond in self.bonds)
 
     @cached_property
     def ring_atom_flags(self) -> tuple[bool, ...]:
@@ -196,12 +196,13 @@ class Molecule:
         return self.implicit_h[idx]
 
 
-def _find_bridges(mol: Molecule) -> set[Bond]:
-    """The bonds that are bridges (removing one disconnects its component)."""
+def _find_bridges(mol: Molecule) -> set[int]:
+    """The ``id()`` of each bond that is a bridge (removing one disconnects
+    its component)."""
     adj = mol.neighbors
     disc = [-1] * len(adj)
     low = [0] * len(adj)
-    bridges: set[Bond] = set()
+    bridges: set[int] = set()
     counter = 0
     for root in range(len(adj)):
         if disc[root] != -1:
@@ -228,7 +229,7 @@ def _find_bridges(mol: Molecule) -> set[Bond]:
                     parent = stack[-1][0]
                     low[parent] = min(low[parent], low[node])
                     if low[node] > disc[parent]:
-                        bridges.add(in_bond)
+                        bridges.add(id(in_bond))
     return bridges
 
 

@@ -220,6 +220,17 @@ class TestFingerprint:
         assert len(out.splitlines()) == 1
         assert err.startswith("error: input line 3: ")
 
+    # Lines are read one at a time, so the lines before a bad byte are
+    # fingerprinted before it is found.
+    def test_bad_byte_stops_after_the_lines_before_it(self, capsys, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"CC\n\xff\n")
+        code, out, err = run(capsys, "fingerprint", str(path))
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert err == (f"error: {path}: not UTF-8 text ('utf-8' codec can't decode "
+                       f"byte 0xff in position 3: invalid start byte)\n")
+
     @pytest.mark.parametrize("scheme,flag,value,message", [
         ("morgan", "--bits", "3", "fingerprint width must be a power of two >= 4, got 3"),
         ("path", "--bits", "3", "fingerprint width must be a power of two >= 4, got 3"),

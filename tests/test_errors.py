@@ -1,6 +1,8 @@
 """The line reader every user text file goes through, except embedding files."""
 
+import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,9 +29,35 @@ def test_lines_are_those_of_open(tmp_path, text, newline):
         assert list(utf8_lines(path, newline=newline)) == list(handle)
 
 
-@given(head=_TEXT, fault=_FAULTS, tail=st.binary(max_size=8))
+class _Pieces(io.RawIOBase):
+    """A stream that hands out its bytes in pieces of the given sizes."""
+
+    def __init__(self, data, sizes):
+        self._data, self._sizes = data, list(sizes)
+
+    def read(self, size=-1):
+        take = self._sizes.pop() if self._sizes else size
+        piece, self._data = self._data[:take], self._data[take:]
+        return piece
+
+
+# Piece boundaries fall anywhere: inside a character, or between "\r" and "\n".
+@given(text=_TEXT, newline=st.sampled_from([None, ""]),
+       sizes=st.lists(st.integers(1, 5), max_size=40))
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_decode_fault_is_worded_as_a_whole_decode(tmp_path, head, fault, tail):
+def test_lines_do_not_depend_on_how_the_stream_is_read(tmp_path, text, newline, sizes):
+    data = text.encode("utf-8")
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        expected = list(handle)
+    assert list(utf8_lines("in", newline, _Pieces(data, sizes))) == expected
+
+
+@given(head=_TEXT, fault=_FAULTS, tail=st.binary(max_size=8),
+       sizes=st.lists(st.integers(1, 5), max_size=20))
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_decode_fault_is_worded_as_a_whole_decode(tmp_path, head, fault, tail, sizes):
     path = tmp_path / "in.txt"
     data = head.encode("utf-8") + fault + tail
     path.write_bytes(data)
@@ -39,6 +67,9 @@ def test_decode_fault_is_worded_as_a_whole_decode(tmp_path, head, fault, tail):
         with pytest.raises(UndecodableFile) as info:
             list(utf8_lines(path))
         assert str(info.value) == f"{path}: not UTF-8 text ({exc})"
+        with pytest.raises(UndecodableFile) as info:
+            list(utf8_lines("in", stream=_Pieces(data, sizes)))
+        assert str(info.value) == f"in: not UTF-8 text ({exc})"
     else:  # the tail completed the fault's character
         assert "".join(utf8_lines(path, newline="")) == text
 
@@ -90,3 +121,27 @@ def test_first_fault_in_the_file_is_reported(tmp_path, at):
     with pytest.raises(SchemaMismatch) as info:
         _read_predictions(path)
     assert str(info.value) == f"{path} line 1: not a JSON object"
+
+
+# A file whose lines end in "\r" alone is read a line at a time too.
+def test_first_fault_is_reported_in_a_file_of_cr_line_endings(tmp_path):
+    _, _, row = READERS["predictions"]
+    data = "[]\r" + "".join(row(i).replace("\n", "\r") for i in range(600))
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(data.encode("utf-8") + b"\xff\r")
+    with pytest.raises(SchemaMismatch) as info:
+        _read_predictions(path)
+    assert str(info.value) == f"{path} line 1: not a JSON object"
+
+
+def test_file_of_cr_line_endings_is_not_held_whole(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"CCO c1ccccc1 CC(=O)O\r" * 200_000)  # 4.2 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in utf8_lines(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 200_000
+    assert peak < 1_000_000
