@@ -102,10 +102,18 @@ class SplitSpec:
                 f"got {self.test_fraction}")
 
 
+# Bytes hashed per read in _digest: the file is never held whole.
+_DIGEST_PIECE = 1 << 16
+
+
 def _digest(path: Path) -> str:
     import hashlib  # loads OpenSSL: only ingest needs it
 
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    digest = hashlib.sha256()
+    with path.open("rb") as stream:
+        while piece := stream.read(_DIGEST_PIECE):
+            digest.update(piece)
+    return digest.hexdigest()[:16]
 
 
 def _clean_row(raw_id: str, smiles: str, indication: str, source: str,

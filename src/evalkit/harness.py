@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import enum
 import json
+import marshal
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -53,7 +55,10 @@ from .textmetrics import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from . import fingerprints as fp
+    from .smiles import Molecule
 
 FLOAT_FORMAT = "{:.4f}"
 ABSENT_CELL = "—"
@@ -227,6 +232,129 @@ def eval_d2i(preds: PredictionFile,
     )
 
 
+# --- fingerprint sweep -------------------------------------------------------
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+class _BackSweep:
+    """One forked helper that fingerprints a plan from the back.
+
+    It sends each molecule's fingerprints down a pipe as a 4-byte length
+    and the ``marshal``-ed ``(bits, width, scheme, params)`` of each, in
+    order ``plan[-1], plan[-2], ...``, and stops at its first exception.
+    ``marshal`` is built in, so the helper loads no module to send them.
+    """
+
+    def __init__(self, plan: list[Molecule],
+                 fingerprint: Callable[[Molecule], tuple[fp.Fingerprint, ...]]) -> None:
+        self.pending = bytearray()
+        self.fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self.fd)
+            os.close(write_fd)
+            raise
+        if self.pid:
+            os.close(write_fd)
+            os.set_blocking(self.fd, False)
+            return
+        # The helper: a copy of the caller, stack and all, so it must never
+        # return into it. Whatever happens, it ends here.
+        try:
+            import gc
+
+            os.close(self.fd)
+            gc.disable()  # a collection would touch, and so copy, every page
+            for mol in reversed(plan):
+                record = marshal.dumps(tuple(
+                    (f.bits, f.width, f.scheme, f.params) for f in fingerprint(mol)))
+                out = memoryview(len(record).to_bytes(4, "little") + record)
+                while out:
+                    out = out[os.write(write_fd, out):]
+        finally:
+            os._exit(0)
+
+    def received(self) -> list[tuple[fp.Fingerprint, ...]]:
+        """The records that arrived since the last call, without waiting."""
+        from .fingerprints import Fingerprint
+
+        try:
+            while chunk := os.read(self.fd, 1 << 16):
+                self.pending += chunk
+        except BlockingIOError:
+            pass
+        records = []
+        pending = self.pending
+        while len(pending) >= 4:
+            end = 4 + int.from_bytes(pending[:4], "little")
+            if len(pending) < end:
+                break
+            records.append(tuple(Fingerprint(*fields)
+                                 for fields in marshal.loads(pending[4:end])))
+            del pending[:end]
+        return records
+
+    def stop(self) -> None:
+        """Kill and reap the helper, wherever it is."""
+        import signal
+
+        os.close(self.fd)
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # reaped already: the caller ignores SIGCHLD
+
+
+def _sweep(plan: list[Molecule],
+           fingerprint: Callable[[Molecule], tuple[fp.Fingerprint, ...]],
+           ) -> list[tuple[fp.Fingerprint, ...]]:
+    """``[fingerprint(mol) for mol in plan]``, on two CPUs when there are two.
+
+    This process works from ``plan[0]`` forward. A :class:`_BackSweep`
+    helper works from the back, and this process takes what it has sent
+    after each molecule, so the two stop where they meet and at most one
+    molecule is fingerprinted twice. This process never waits for the
+    helper: a helper that dies or raises only leaves more of the plan to
+    this process, so any error is raised here, for the first failing
+    molecule in plan order, as without a helper.
+
+    Each molecule leaves ``plan`` once its fingerprints are in, and the
+    caches it built go with it.
+    """
+    results: list = [None] * len(plan)
+    start, end = 0, len(plan)  # results[:start] made here, results[end:] sent
+    helper = None
+    if len(plan) >= 2 and hasattr(os, "fork") and _cpu_count() >= 2:
+        try:
+            helper = _BackSweep(plan, fingerprint)
+        except OSError:  # no process or pipe to spare: one CPU's sweep
+            pass
+    try:
+        while start < end:
+            results[start] = fingerprint(plan[start])
+            plan[start] = None
+            start += 1
+            if helper is not None:
+                for record in helper.received():
+                    if end == start:
+                        break
+                    end -= 1
+                    results[end] = record
+                    plan[end] = None
+    finally:
+        if helper is not None:
+            helper.stop()
+    return results
+
+
 def eval_i2d(preds: PredictionFile,
              embeddings_ref: str | Path | None = None,
              embeddings_hyp: str | Path | None = None,
@@ -244,8 +372,10 @@ def eval_i2d(preds: PredictionFile,
     requires both embedding files and is otherwise reported as not computed.
 
     Each distinct SMILES string (after stripping whitespace) is validated
-    and fingerprinted once per call, however many rows repeat it.  A
-    reference is graded only when its row's hypothesis parses.
+    once per call, however many rows repeat it, and fingerprinted once, but
+    for at most one molecule twice, where the sweeps meet (see
+    :func:`_sweep`).  A reference is graded only when its row's hypothesis
+    parses.
     """
     _require_task(preds, Task.INDICATION_TO_DRUG)
     # Imported here, so eval-d2i never loads the SMILES parser or the
@@ -295,33 +425,43 @@ def eval_i2d(preds: PredictionFile,
         ("rdk", fp.path_fingerprint, (max_path_bonds, bits)),
         ("morgan", fp.morgan_fingerprint, (radius, bits)),
     )
-    # stripped string -> (verdict, one fingerprint per scheme or None when
-    # unparseable); molecules are not kept, only what the scores need
-    records: dict[str, tuple[bool, tuple[fp.Fingerprint, ...] | None]] = {}
+    # The validation pass: stripped string -> (verdict, its molecule's
+    # index in the plan or None when unparseable). The plan holds the
+    # parseable molecules in first-seen order.
+    records: dict[str, tuple[bool, int | None]] = {}
+    plan: list[Molecule] = []
 
-    def grade(text: str) -> tuple[bool, tuple[fp.Fingerprint, ...] | None]:
+    def grade(text: str) -> tuple[bool, int | None]:
         stripped = text.strip()
         record = records.get(stripped)
         if record is None:
             report = validate(stripped, strict=strict_validity)
-            mol = report.molecule
-            fps = None if mol is None else tuple(
-                make(mol, *args) for _, make, args in schemes)
-            record = records[stripped] = (report.verdict, fps)
+            slot = None
+            if report.molecule is not None:
+                slot = len(plan)
+                plan.append(report.molecule)
+            record = records[stripped] = (report.verdict, slot)
         return record
 
-    valid = used = 0
+    valid = 0
+    pairs = []  # (reference slot, hypothesis slot) of rows where both parse
+    for ref_text, hyp_text in zip(references, hypotheses):
+        verdict, hyp_slot = grade(hyp_text)
+        valid += verdict
+        if hyp_slot is None:
+            continue
+        _, ref_slot = grade(ref_text)
+        if ref_slot is not None:
+            pairs.append((ref_slot, hyp_slot))
+
+    prints = _sweep(plan, lambda mol: tuple(
+        make(mol, *args) for _, make, args in schemes))
+
+    used = len(pairs)
     sums = [0.0] * len(schemes)
     zero_zero = {label: 0 for label, _, _ in schemes}
-    for ref_text, hyp_text in zip(references, hypotheses):
-        verdict, hyp_fps = grade(hyp_text)
-        valid += verdict
-        if hyp_fps is None:
-            continue
-        _, ref_fps = grade(ref_text)
-        if ref_fps is None:
-            continue
-        used += 1
+    for ref_slot, hyp_slot in pairs:
+        ref_fps, hyp_fps = prints[ref_slot], prints[hyp_slot]
         for i, (label, _, _) in enumerate(schemes):
             if ref_fps[i].bits == 0 and hyp_fps[i].bits == 0:
                 zero_zero[label] += 1

@@ -176,7 +176,17 @@ class Vocabulary:
         return self.tokens[token_id]
 
     def save(self, path: str | Path) -> None:
-        """Write one token per line; the line number (from zero) is the id."""
+        """Write one token per line; the line number (from zero) is the id.
+
+        A token holding ``\\r`` or ``\\n`` (a bracket atom may) raises
+        :class:`InputError` before anything is written, since :meth:`load`
+        would split it in two and shift every later id.
+        """
+        for token in self.tokens:
+            if "\r" in token or "\n" in token:
+                raise InputError(
+                    f"cannot save token {token!r}: a vocabulary file holds "
+                    "one token per line")
         Path(path).write_text(
             "".join(f"{t}\n" for t in self.tokens), encoding="utf-8")
 

@@ -1,11 +1,14 @@
 """Ingestion, statistics, and split tests for the dataset module."""
 
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evalkit import dataset
 from evalkit.dataset import (
     DrugRecord,
     PairSet,
@@ -210,6 +213,23 @@ class TestIngestDispatch:
     def test_missing_file(self, fixtures_dir):
         with pytest.raises(OSError):
             ingest(fixtures_dir / "no_such_file.jsonl", "generic_jsonl")
+
+    def test_digest_reads_the_file_in_pieces(self, tmp_path):
+        path = tmp_path / "drugbank.csv"
+        path.write_bytes(b"id,name,smiles,indication\r\n" + b"".join(
+            b"DB%06d,aspirin,CC(=O)Oc1ccccc1C(=O)O,pain and fever\r\n" % i
+            for i in range(80_000)))  # 4.5 MB
+        want = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        tracemalloc.start()
+        try:
+            got = dataset._digest(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 500_000
+        pairs, _ = ingest(path, "drugbank_csv")
+        assert pairs.provenance == f"drugbank_csv:drugbank.csv:sha256:{want}"
 
 
 class TestPairSet:

@@ -1,10 +1,19 @@
 """Evaluation harness tests: loading, scoring, rendering."""
 
+import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from evalkit import fingerprints, harness, smiles
+import evalkit
+from evalkit import cli, fingerprints, harness, smiles
 from evalkit.errors import (
     DuplicateId,
     EmbeddingRowMismatch,
@@ -307,6 +316,209 @@ class TestEvalI2d:
         assert metadata["fcd"] == "not computed"
         assert metadata["zero_zero_tanimoto_pairs"] == {
             "maccs": 0, "rdk": 0, "morgan": 0}
+
+
+# Runs evalkit.cli.main on argv, prints its stdout, and writes the number
+# of processes it forked to stderr.
+FORK_COUNTING_CLI = """
+import os, sys
+forks = []
+real_fork = os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = fork
+from evalkit import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(str(len(forks)))
+sys.exit(code)
+"""
+
+SRC = Path(evalkit.__file__).resolve().parents[1]
+HAS_HELPER = hasattr(os, "fork") and harness._cpu_count() >= 2
+needs_helper = pytest.mark.skipif(
+    not HAS_HELPER, reason="the fingerprint helper needs fork and two CPUs")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every process forked during the test, in order."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _chain_pairs(count):
+    """Rows whose plan is count chains, plan[k] being k + 1 carbons long."""
+    return [("C" * (2 * i + 2), "C" * (2 * i + 1)) for i in range(count // 2)]
+
+
+class TestFingerprintHelper:
+    """eval_i2d fingerprints on two CPUs with one forked helper that works
+    from the back of the plan; the reports and errors are those of one CPU."""
+
+    ARGVS = {
+        "small": ["predictions_i2d_small.jsonl"],
+        "small_strict": ["predictions_i2d_small.jsonl", "--strict-validity"],
+        "small_keyset": ["predictions_i2d_small.jsonl", "--keyset",
+                         "keyset_small.tsv"],
+        "repeated": ["predictions_i2d_repeated.jsonl"],
+        "repeated_strict": ["predictions_i2d_repeated.jsonl",
+                            "--strict-validity"],
+        "repeated_keyset": ["predictions_i2d_repeated.jsonl", "--keyset",
+                            "keyset_small.tsv"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARGVS))
+    def test_one_cpu_and_two_give_the_same_bytes(self, name, fixtures_dir,
+                                                 forks):
+        fixture, *flags = self.ARGVS[name]
+        flags = [str(fixtures_dir / f) if f.endswith(".tsv") else f
+                 for f in flags]
+        argv = ["eval-i2d", str(fixtures_dir / fixture), *flags,
+                "--format", "json"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        cpu = min(os.sched_getaffinity(0))
+        pinned = subprocess.run(
+            [sys.executable, "-c", FORK_COUNTING_CLI, *argv], env=env,
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        assert pinned.returncode == 0, pinned.stderr
+        assert pinned.stderr == "0"  # no helper on one CPU
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert len(forks) == HAS_HELPER
+        assert out.getvalue() == pinned.stdout
+        golden = fixtures_dir / "golden" / f"i2d_{name}.json"
+        if golden.exists():
+            assert out.getvalue() == golden.read_text(encoding="utf-8")
+        _no_child_left()
+
+    # fault -> what the injected fingerprint does at the chosen molecule,
+    # given whether it runs in the helper
+    @staticmethod
+    def _kill_helper(in_helper, k):
+        if in_helper:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    @staticmethod
+    def _raise_in_helper(in_helper, k):
+        if in_helper:
+            raise RuntimeError(f"helper fault at {k}")
+
+    @staticmethod
+    def _raise_everywhere(in_helper, k):
+        raise RuntimeError(f"no fingerprint for molecule {k}")
+
+    @staticmethod
+    def _interrupt_everywhere(in_helper, k):
+        raise KeyboardInterrupt
+
+    FAULTS = {
+        "helper_killed": _kill_helper,
+        "helper_raises": _raise_in_helper,
+        "main_raises": _raise_everywhere,
+        "main_interrupted": _interrupt_everywhere,
+    }
+
+    def _run(self, preds, one_cpu, monkeypatch, escaped):
+        """eval_i2d's JSON report, or its exception's (class, message).
+
+        A helper that came back out of eval_i2d touches ``escaped`` and
+        exits, rather than run the rest of the test session."""
+        caller = os.getpid()
+        with monkeypatch.context() as patch:
+            if one_cpu:
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            try:
+                return render_report(eval_i2d(preds), "json")
+            except (Exception, KeyboardInterrupt) as exc:
+                return type(exc), str(exc)
+            finally:
+                if os.getpid() != caller:
+                    escaped.touch()
+                    os._exit(1)
+
+    @needs_helper
+    @pytest.mark.parametrize("at", [(0,), (1,), (4,), (7,), (2, 6)])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_faults_give_the_one_cpu_outcome(self, fault, at, tmp_path,
+                                             monkeypatch, forks):
+        preds = _i2d_file(tmp_path, _chain_pairs(8))
+        main = os.getpid()
+        real = fingerprints.path_fingerprint
+        inject = self.FAULTS[fault]
+
+        def faulty(mol, *args):
+            in_helper = os.getpid() != main
+            if not in_helper:
+                time.sleep(0.01)  # so the helper gets well into the plan
+            if len(mol.atoms) - 1 in at:
+                inject(in_helper, len(mol.atoms) - 1)
+            return real(mol, *args)
+
+        monkeypatch.setattr(fingerprints, "path_fingerprint", faulty)
+        escaped = tmp_path / "escaped"
+        serial = self._run(preds, True, monkeypatch, escaped)
+        assert forks == []
+        two_cpus = self._run(preds, False, monkeypatch, escaped)
+        assert len(forks) == 1
+        _no_child_left()
+        assert not escaped.exists()
+        assert two_cpus == serial
+        # A helper's fault never reaches the caller; otherwise the first
+        # failing molecule in plan order is the one reported.
+        if fault.startswith("helper"):
+            assert isinstance(serial, str)
+        elif fault == "main_raises":
+            assert serial == (RuntimeError, f"no fingerprint for molecule {at[0]}")
+        else:
+            assert serial == (KeyboardInterrupt, "")
+
+    @needs_helper
+    def test_helper_takes_part_of_the_plan(self, tmp_path, monkeypatch, forks):
+        preds = _i2d_file(tmp_path, _chain_pairs(8))
+        main = os.getpid()
+        real = fingerprints.morgan_fingerprint
+        in_main = []
+
+        def slow_in_main(mol, *args):
+            if os.getpid() == main:
+                in_main.append(len(mol.atoms))
+                time.sleep(0.02)
+            return real(mol, *args)
+
+        monkeypatch.setattr(fingerprints, "morgan_fingerprint", slow_in_main)
+        report = eval_i2d(preds)
+        _no_child_left()
+        assert len(forks) == 1
+        assert in_main[0] == 1  # the main process starts at plan[0]
+        assert in_main == sorted(in_main) and len(in_main) < 8
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert render_report(eval_i2d(preds), "json") == render_report(
+            report, "json")
+
+    def test_one_molecule_forks_no_helper(self, tmp_path, forks):
+        eval_i2d(_i2d_file(tmp_path, [("CCO", "CCO"), ("CCO", "CC(")]))
+        assert forks == []
 
 
 class TestEvalD2i:

@@ -1,6 +1,7 @@
 """Grammar tokenizer and vocabulary tests."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,15 @@ class TestVocabulary:
         path = tmp_path / "vocab.txt"
         vocab.save(path)
         assert Vocabulary.load(path) == vocab
+
+    # load splits lines at "\r", "\n" and "\r\n", so save refuses them.
+    @pytest.mark.parametrize("token", ["[C\r]", "[C\n]", "[C\r\n]"])
+    def test_save_rejects_a_token_holding_a_line_ending(self, tmp_path, token):
+        vocab = build_vocab(["CC", token])
+        path = tmp_path / "vocab.txt"
+        with pytest.raises(InputError, match=re.escape(repr(token))):
+            vocab.save(path)
+        assert not path.exists()
 
     def test_load_rejects_wrong_specials(self, tmp_path):
         path = tmp_path / "vocab.txt"
