@@ -6,11 +6,10 @@ parseable input, mismatched schemes), and :class:`NumericError` covers
 internal numerical failures.  The command line maps the former to exit code 1
 and the latter to exit code 2.
 
-Every user text file but an embedding file is read through
+Every user text file, embedding files included, is read through
 :func:`utf8_lines`, which splits it into lines as ``open()`` does, a line
 at a time, and raises :class:`UndecodableFile` naming the file and the
-position of a byte that is not UTF-8.  :func:`not_utf8` words that fault,
-for it and for the embedding reader in :mod:`evalkit.frechet`.
+position of a byte that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -157,8 +156,8 @@ class UndecodableFile(InputError):
     """A text file holds bytes that are not valid UTF-8."""
 
 
-def not_utf8(path: str | Path, exc: UnicodeDecodeError,
-             offset: int) -> UndecodableFile:
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError,
+              offset: int) -> UndecodableFile:
     """The error for the bytes of ``path`` that ``exc`` could not decode,
     when ``exc.object`` starts ``offset`` bytes into the file: worded as a
     decode of the whole file words it."""
@@ -169,7 +168,11 @@ def not_utf8(path: str | Path, exc: UnicodeDecodeError,
                            f"can't decode {where}: {exc.reason})")
 
 
-_PIECE = 1 << 14
+# Bytes read from a file per piece.  Kept small: once the first matrix a
+# process reads is freed, glibc raises its mmap threshold, so later matrices
+# are placed in the heap, and larger reader temporaries would fragment the
+# heap around them and raise peak memory.
+_PIECE_BYTES = 1 << 14
 
 
 def _whole_lines(stream: BinaryIO) -> Iterator[bytes]:
@@ -177,7 +180,7 @@ def _whole_lines(stream: BinaryIO) -> Iterator[bytes]:
     that each end where a line does (at ``\n``, ``\r\n`` or ``\r``).  A run
     is shorter than two pieces unless one line is longer than a piece."""
     rest: list[bytes] = []  # bytes read that do not end a line yet
-    while piece := stream.read(_PIECE):
+    while piece := stream.read(_PIECE_BYTES):
         # Cut after the piece's last line ending, unless that is a "\r" at
         # its very end: the next piece may start with the "\n" of "\r\n".
         cut = max(piece.rfind(b"\n"), piece.rfind(b"\r", 0, -1)) + 1
@@ -212,6 +215,6 @@ def utf8_lines(path: str | Path, newline: str | None = None,
         except UnicodeDecodeError as exc:
             ends = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start))
             yield from io.StringIO(data[:ends + 1].decode("utf-8"), newline=newline)
-            raise not_utf8(path, exc, offset) from exc
+            raise _not_utf8(path, exc, offset) from exc
         yield from io.StringIO(text, newline=newline)
         offset += len(data)

@@ -5,8 +5,10 @@ files.  The file format is one header line ``D=<dim>`` followed by one
 space-separated vector per line.  Files whose first two bytes are the gzip
 magic number are decompressed transparently.
 
-A file is read once, in 16 KiB pieces, and its text is never held whole,
-so a pipe is read as a regular file is.  Its lines are parsed in chunks of
+A file is read once, through :func:`evalkit.errors.utf8_lines`, the line
+reader of every user file, so its lines end at ``\n``, ``\r\n`` or a lone
+``\r`` and at no other character, its text is never held whole, and a pipe
+is read as a regular file is.  Its lines are parsed in chunks of
 bounded text by ``np.loadtxt``, or, where NumPy rejects a chunk, a line at
 a time by ``float()``.  Wherever they are in the file, faults raise in this
 order: gzip, UTF-8, the header, the first bad line, too few rows, a
@@ -25,15 +27,13 @@ the distance overflows raise :class:`NonFiniteInput`.
 
 from __future__ import annotations
 
-import codecs
 import gzip
 import math
 import re
 import zlib
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import BinaryIO
 
@@ -45,7 +45,9 @@ from .errors import (
     InputError,
     NonFiniteInput,
     TooFewSamples,
-    not_utf8,
+    UndecodableFile,
+    _PIECE_BYTES,
+    utf8_lines,
 )
 
 
@@ -151,20 +153,14 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
 # no header names a dimension too large to shape an array with.
 _DIM_HEADER = re.compile(r"D=[ \t]*([0-9]{1,9})[ \t]*")
 
-# Bytes read from the file per piece.  Kept small: once the first matrix a
-# process reads is freed, glibc raises its mmap threshold, so later matrices
-# are placed in the heap, and larger reader temporaries would fragment the
-# heap around them and raise peak memory.
-_PIECE_BYTES = 1 << 14
-
 # Values in one row block of an FCD fit: 1 MiB of float64, 256 rows at
 # D = 512.  The fit holds one block at a time, so this bounds its memory.
 _BLOCK_VALUES = 1 << 17
 
-# Characters of non-blank lines parsed by one ``np.loadtxt`` call.  Kept
-# small, like the pieces: 128 KiB chunks raised the peak memory of a
-# process that scores embedding files call after call.
-_CHUNK_CHARS = 2 * _PIECE_BYTES
+# Characters of non-blank lines parsed by one ``np.loadtxt`` call: 32 KiB.
+# Kept small, like the pieces the file is read in: 128 KiB chunks raised
+# the peak memory of a process that scores embedding files call after call.
+_CHUNK_CHARS = 1 << 15
 
 
 def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np.ndarray]:
@@ -175,9 +171,11 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np
     ``float()`` reads them; blank lines are skipped.  Gzip-compressed files
     are detected by magic number and decompressed.
 
-    The file is read once, in pieces, so a pipe is read as a file is, and
-    its text is never held whole.  Wherever they are in the file, faults
-    raise in this order: gzip, UTF-8, the header, the first bad line.
+    The file is read once, a line at a time, so a pipe is read as a file
+    is, and its text is never held whole.  Lines end where ``open()`` ends
+    them; a form feed or U+2028 is whitespace within its line.  Wherever
+    they are in the file, faults raise in this order: gzip, UTF-8, the
+    header, the first bad line.
     """
     chunks = _read_chunks(Path(path), row_multiplier)
     dim, values = next(chunks), array("d")
@@ -187,67 +185,37 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np
 
 
 class _Rejoined:
-    """``head``, then the rest of ``stream``: the file from its start again,
-    for :class:`gzip.GzipFile`, which reads its own magic."""
+    """``head``, then the rest of ``stream``: the file from its start again
+    after its first bytes were read to look for the gzip magic."""
 
     def __init__(self, head: bytes, stream: BinaryIO):
         self.head, self.stream = head, stream
 
     def read(self, size: int) -> bytes:
+        if not self.head:
+            return self.stream.read(size)
         head, self.head = self.head[:size], self.head[size:]
         return head + self.stream.read(size - len(head))
 
 
-def _byte_pieces(path: Path) -> Iterator[bytes]:
-    """The file's bytes a piece at a time, gunzipped when they start with
-    the gzip magic."""
+def _lines(path: Path) -> Iterator[str]:
+    """The lines of the file, gunzipped when it starts with the gzip magic,
+    as :func:`utf8_lines` splits and decodes them."""
     with open(path, "rb") as raw:
-        head = raw.read(_PIECE_BYTES)
-        if head[:2] != b"\x1f\x8b":
-            yield head
-            yield from iter(partial(raw.read, _PIECE_BYTES), b"")
+        head = raw.read(2)
+        if head != b"\x1f\x8b":
+            yield from utf8_lines(path, stream=_Rejoined(head, raw))
             return
         stream = gzip.GzipFile(fileobj=_Rejoined(head, raw))
         try:
-            yield from iter(partial(stream.read, _PIECE_BYTES), b"")
+            try:
+                yield from utf8_lines(path, stream=stream)
+            except UndecodableFile:
+                while stream.read(_PIECE_BYTES):  # a gzip fault later comes first
+                    pass
+                raise
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise InputError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
-
-
-def _text_pieces(path: Path, pieces: Iterator[bytes]) -> Iterator[str]:
-    """The UTF-8 text of ``pieces``, decoded a piece at a time.  A byte that
-    does not decode raises once the rest of the pieces are read, with the
-    message and offset a decode of the whole file gives."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    fed = 0
-    try:
-        for piece in pieces:
-            yield decoder.decode(piece)
-            fed += len(piece)
-        yield decoder.decode(b"", final=True)
-    except UnicodeDecodeError as exc:
-        for _ in pieces:  # a gzip fault later in the file comes first
-            pass
-        # exc.object starts with the bytes the decoder held back.
-        raise not_utf8(path, exc, fed - len(decoder.getstate()[0])) from None
-
-
-def _split_pieces(pieces: Iterable[str]) -> Iterator[str]:
-    """The lines of ``"".join(pieces).splitlines()``, a piece at a time.
-
-    Each piece is cut just after its last ``\n`` and the rest carried into
-    the next.  No line break spans the cut (``\n`` ends ``\r\n``), so the
-    text before it splits into whole lines."""
-    carry: list[str] = []
-    for piece in pieces:
-        cut = piece.rfind("\n") + 1
-        if cut:
-            carry.append(piece[:cut])
-            yield from "".join(carry).splitlines()
-            carry = [piece[cut:]]
-        else:
-            carry.append(piece)
-    yield from "".join(carry).splitlines()
 
 
 def _header_dim(path: Path, first: str | None) -> int:
@@ -266,7 +234,7 @@ def _read_chunks(path: Path, row_multiplier: int) -> Iterator[int | np.ndarray]:
     """The file's dimension, then its rows, parsed a chunk of about
     ``_CHUNK_CHARS`` characters of non-blank lines at a time.  A fault in
     the header or a line raises once the rest of the file is decoded."""
-    lines = _split_pieces(_text_pieces(path, _byte_pieces(path)))
+    lines = (line.removesuffix("\n") for line in _lines(path))
     chunk: list[tuple[int, str]] = []
     chars = 0
     try:

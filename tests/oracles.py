@@ -503,9 +503,9 @@ def bracket_atom_by_cursor(text: str, start: int) -> Atom:
 
 def vector_rows_by_line(path, lines: list[str], expected: int) -> list[list[float]]:
     """The data rows of an embedding file whose ``lines`` (header first)
-    come from ``str.splitlines``: blank lines skipped, every value read by
-    ``float()``, and the first line that is not ``expected`` numbers named
-    in an :class:`InputError`."""
+    are those ``open()`` reads, without their line ends: blank lines
+    skipped, every value read by ``float()``, and the first line that is
+    not ``expected`` numbers named in an :class:`InputError`."""
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -293,6 +293,15 @@ class TestFcd:
                          "--embeddings-hyp", str(b))
         assert code == 1
 
+    def test_u2028_inside_a_reference_line_exits_one(self, capsys, tmp_path):
+        ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+        ref.write_text("D=2\n1 2\u20283 4\n5 6\n7 8\n", encoding="utf-8")
+        hyp.write_text("D=2\n1 2\n3 4\n", encoding="utf-8")
+        code, out, err = run(capsys, "fcd", "--embeddings-ref", str(ref),
+                             "--embeddings-hyp", str(hyp))
+        assert (code, out) == (1, "")
+        assert f"{ref} line 2: expected 2 values, got 4" in err
+
 
 class TestEvalCommands:
     def test_eval_i2d_table(self, capsys, fixtures_dir):

@@ -1,4 +1,4 @@
-"""The line reader every user text file goes through, except embedding files."""
+"""The line reader every user text file goes through."""
 
 import io
 import json

@@ -22,11 +22,10 @@ from evalkit.errors import (
     NonFiniteInput,
     TooFewSamples,
     UndecodableFile,
+    _PIECE_BYTES,
 )
 from evalkit.frechet import (
-    _PIECE_BYTES,
     _fit_file,
-    _split_pieces,
     EmbeddingSet,
     GaussianStats,
     fcd_from_files,
@@ -256,6 +255,24 @@ class TestVectorFiles:
         assert rows.shape == (2, 4)
         assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
 
+    # Only "\n", "\r\n" and a lone "\r" end a line, as in every user file:
+    # a form feed or a U+2028 is whitespace within its line.
+    @pytest.mark.parametrize("text,error", [
+        ("D=2\n1 2{}3 4\n5 6\n", "line 2: expected 2 values, got 4"),
+        ("D=2\n1{}2\n5 6\n7 8 9\n", "line 4: expected 2 values, got 3"),
+    ], ids=["in-bad-line", "before-bad-line"])
+    @pytest.mark.parametrize("space", ["\x0c", "\u2028"], ids=["form-feed", "u2028"])
+    @pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("read", [read_vector_rows, _fit_file], ids=["rows", "fit"])
+    def test_separator_inside_a_line_does_not_end_it(self, tmp_path, text, error,
+                                                     space, gzipped, read):
+        data = text.format(space).encode("utf-8")
+        path = tmp_path / "e"
+        path.write_bytes(gzip.compress(data, mtime=0) if gzipped else data)
+        with pytest.raises(InputError) as info:
+            read(path)
+        assert str(info.value) == f"{path} {error}"
+
     @pytest.mark.parametrize("header,dim", [
         ("D=8", 8), ("D= 8", 8), ("D=\t8 \t", 8), ("D=000000008", 8),
         ("D=999999999", 999999999),
@@ -287,16 +304,23 @@ class TestVectorFiles:
             read_vector_rows(path)
 
 
-# Values, separators, line ends and blank lines, many of which float(),
-# str.split() and str.splitlines() treat differently from np.loadtxt.
+# Values, separators, line ends and blank lines, many of which float()
+# and str.split() treat differently from np.loadtxt.  A line ends only at
+# "\n", "\r\n" or "\r"; the other characters str.splitlines() splits at
+# are separators within a line.
 _NUMBERS = ["0", "-0", "1", "-2.5", ".5", "5.", "1e5", "1E-3", "1e999", "-1e-400",
             "nan", "-nan", "+NaN", "inf", "-Infinity", "iNf"]
 _HOSTILE = ["1_0", "\u0661", "\u0661.5", "0x10", "'1'", '"2"', "#", "#1", "1,5",
             "nan(1)", "\x00", "\ufeff1", "1d5", "--1", "e5", "\x001", "\u0e51"]
-_SPACES = [" ", " ", " ", "\t", "  ", "\xa0", "\u3000", "\x1f", "\u2003"]
-_LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
-              "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = [" ", " ", " ", "\t", "  ", "\xa0", "\u3000", "\x1f", "\u2003",
+           "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
 _BLANKS = ["", " ", "\t", "\xa0", "\x1f", "\u3000"]
+
+
+def _lines_of(text: str) -> list[str]:
+    """The lines ``open()`` reads from ``text``, without their line ends."""
+    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
 
 
 def _hostile_body(rng: random.Random, expected: int) -> str:
@@ -338,7 +362,7 @@ def test_reader_agrees_with_line_oracle(tmp_path):
         path = tmp_path / ("e.gz" if case % 4 == 0 else "e.txt")
         path.write_bytes(gzip.compress(data, mtime=0) if case % 4 == 0 else data)
         try:
-            oracle = oracles.vector_rows_by_line(path, text.splitlines(), expected)
+            oracle = oracles.vector_rows_by_line(path, _lines_of(text), expected)
         except InputError as exc:
             with pytest.raises(type(exc)) as info:
                 read_vector_rows(path, row_multiplier)
@@ -386,15 +410,6 @@ def test_fit_depends_on_values_not_route(tmp_path, monkeypatch):
     assert min(outcomes.values()) > 50, outcomes
 
 
-@given(st.text(alphabet="ab \t\xa0" + "".join(_LINE_ENDS), max_size=60), st.data())
-@settings(max_examples=500)
-def test_lines_read_in_pieces_are_splitlines(text, data):
-    # Cut points anywhere, inside "\r\n" too; a piece may be empty.
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=8)))
-    pieces = [text[a:b] for a, b in zip([0] + cuts, cuts + [len(text)])]
-    assert list(_split_pieces(pieces)) == text.splitlines()
-
-
 def test_reader_spanning_many_pieces_agrees_with_line_oracle(tmp_path):
     """A file of about 0.5 MB, read in several pieces, with every kind of
     line break and blank line between its rows."""
@@ -410,7 +425,7 @@ def test_reader_spanning_many_pieces_agrees_with_line_oracle(tmp_path):
     path = tmp_path / "e.txt"
     path.write_text(text, encoding="utf-8", newline="")
     dim, got = read_vector_rows(path)
-    want = np.array(oracles.vector_rows_by_line(path, text.splitlines(), 8))
+    want = np.array(oracles.vector_rows_by_line(path, _lines_of(text), 8))
     assert dim == 8
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -429,7 +444,7 @@ def _whole_text_result(path, data: bytes, expected: int) -> np.ndarray:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableFile(f"{path}: not UTF-8 text ({exc})") from None
-    rows = oracles.vector_rows_by_line(path, text.splitlines(), expected)
+    rows = oracles.vector_rows_by_line(path, _lines_of(text), expected)
     return np.array(rows, dtype=np.float64).reshape(-1, expected)
 
 
