@@ -34,7 +34,7 @@ _LAZY = {
     ), "smiles"),
     **dict.fromkeys((
         "CorpusPair", "TokenMode", "bleu", "exact_match", "levenshtein",
-        "meteor", "ngram_overlaps", "rouge_l", "rouge_n", "tokenize_text",
+        "meteor", "rouge_l", "rouge_n", "tokenize_text",
     ), "textmetrics"),
     **dict.fromkeys((
         "DEFAULT_SPECIALS", "Token", "TokenKind", "TokenSequence", "Vocabulary",

@@ -140,9 +140,10 @@ def read_jsonl_objects(path: Path,
         if not line.strip():
             continue
         where = f"{path} line {lineno}"
+        # ValueError: JSONDecodeError, or an int literal past int()'s digit limit.
         try:
             payload = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaMismatch(f"{where}: invalid JSON ({exc})") from exc
         if not isinstance(payload, dict):
             raise SchemaMismatch(f"{where}: not a JSON object")
@@ -171,22 +172,26 @@ def _ingest_generic_jsonl(path: Path) -> tuple[list[DrugRecord], list[str]]:
 def _read_table_rows(path: Path, header: list[str],
                      delimiter: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, row)`` for each non-empty data row of a
-    delimited file.  A header other than ``header``, or a row with another
-    number of columns, raises :class:`SchemaMismatch`."""
+    delimited file.  A header other than ``header``, a row with another
+    number of columns, or a field over ``csv.field_size_limit()`` (kept:
+    it bounds each field's memory) raises :class:`SchemaMismatch`."""
     import csv
 
     reader = csv.reader(utf8_lines(path, newline=""), delimiter=delimiter)
-    found = next(reader, None)
-    if found != header:
-        raise SchemaMismatch(f"{path}: expected header {header}, got {found}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise SchemaMismatch(
-                f"{path} line {lineno}: expected {len(header)} columns, "
-                f"got {len(row)}")
-        yield lineno, row
+    try:
+        found = next(reader, None)
+        if found != header:
+            raise SchemaMismatch(f"{path}: expected header {header}, got {found}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaMismatch(
+                    f"{path} line {lineno}: expected {len(header)} columns, "
+                    f"got {len(row)}")
+            yield lineno, row
+    except csv.Error as exc:
+        raise SchemaMismatch(f"{path} line {reader.line_num}: {exc}") from exc
 
 
 def _ingest_drugbank_csv(path: Path) -> tuple[list[DrugRecord], list[str]]:

@@ -49,7 +49,6 @@ from .textmetrics import (
     exact_match,
     levenshtein,
     meteor,
-    ngram_overlaps,
     rouge_l,
     rouge_n,
 )
@@ -159,9 +158,16 @@ def _cosine(ref: list[float], hyp: list[float]) -> float:
     A vector whose squares overflow or underflow is first divided by its
     largest magnitude; every other pair keeps the plain arithmetic.
     """
-    norms = math.sqrt(sum(x * x for x in ref)) * math.sqrt(sum(x * x for x in hyp))
+    # One plain loop, summed in order as every other score is: sum() of
+    # floats rounds differently from Python 3.12 on.
+    dot = ref_sq = hyp_sq = 0.0
+    for r, h in zip(ref, hyp):
+        dot += r * h
+        ref_sq += r * r
+        hyp_sq += h * h
+    norms = math.sqrt(ref_sq) * math.sqrt(hyp_sq)
     if 0.0 < norms < math.inf:
-        cosine = sum(r * h for r, h in zip(ref, hyp)) / norms
+        cosine = dot / norms
         if math.isfinite(cosine):
             return cosine
     scale_r = max(map(abs, ref))
@@ -207,7 +213,6 @@ def eval_d2i(preds: PredictionFile,
     references = [row.reference for row in preds.rows]
     hypotheses = [row.hypothesis for row in preds.rows]
     corpus = CorpusPair.from_strings(references, hypotheses, TokenMode.WORD)
-    overlaps = ngram_overlaps(corpus, range(1, 5))
 
     metadata = {
         "task": Task.DRUG_TO_INDICATION.value,
@@ -220,10 +225,10 @@ def eval_d2i(preds: PredictionFile,
                      if text2mol is not None else "not computed"),
     }
     return D2IReport(
-        bleu2=bleu(corpus, max_n=2, overlaps=overlaps),
-        bleu4=bleu(corpus, max_n=4, overlaps=overlaps),
-        rouge1=rouge_n(corpus, 1, overlaps=overlaps),
-        rouge2=rouge_n(corpus, 2, overlaps=overlaps),
+        bleu2=bleu(corpus, max_n=2),
+        bleu4=bleu(corpus, max_n=4),
+        rouge1=rouge_n(corpus, 1),
+        rouge2=rouge_n(corpus, 2),
         rouge_l=rouge_l(corpus),
         meteor=meteor(corpus),
         text2mol=text2mol,
@@ -412,8 +417,9 @@ def eval_i2d(preds: PredictionFile,
     references = [row.reference for row in preds.rows]
     hypotheses = [row.hypothesis for row in preds.rows]
 
-    corpus = CorpusPair.from_strings(references, hypotheses, TokenMode.CHAR)
-    bleu_score = bleu(corpus, max_n=bleu_max_n)
+    # No name holds the corpus, so it and its n-gram counts are freed here.
+    bleu_score = bleu(CorpusPair.from_strings(references, hypotheses, TokenMode.CHAR),
+                      max_n=bleu_max_n)
     exact = exact_match(references, hypotheses)
     mean_lev = sum(
         levenshtein(r, h) for r, h in zip(references, hypotheses)) / len(preds)
@@ -592,9 +598,10 @@ def report_from_json(text: str) -> D2IReport | I2DReport:
     names the report's task; anything else, including a ``NaN`` or
     ``Infinity`` anywhere in it, raises :class:`SchemaMismatch`.
     """
+    # ValueError: JSONDecodeError, or an int literal past int()'s digit limit.
     try:
         payload = json.loads(text, parse_float=_finite, parse_constant=_finite)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaMismatch(f"report is not valid JSON: {exc}") from exc
     scores = payload.get("scores") if isinstance(payload, dict) else None
     if not isinstance(scores, dict):

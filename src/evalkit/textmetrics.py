@@ -3,7 +3,9 @@
 Everything here scores a corpus of (reference, hypothesis) pairs.  BLEU is
 corpus-level (n-gram statistics pooled before the ratio); ROUGE and METEOR
 are computed per pair and averaged in row order, so results never depend on
-iteration order of any hash container.
+iteration order of any hash container.  A corpus counts each pair's n-grams
+of an order once, the first time BLEU or ROUGE-n asks for that order, and
+every later BLEU or ROUGE-n score on it reads the same counts.
 
 Tokenization is explicit, never implicit: callers choose one of the three
 modes below and the choice is recorded by the harness in report metadata.
@@ -16,6 +18,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import EmptyCorpus, InputError, LengthMismatch
@@ -79,9 +82,32 @@ class CorpusPair:
             tuple(tuple(tokenize_text(h, mode)) for h in hypotheses),
         )
 
+    @cached_property
+    def _overlap_rows(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        # Not a field: equality, hashing and repr see the tokens only.
+        return {}
+
+    def _overlaps(self, n: int) -> tuple[tuple[int, int, int], ...]:
+        """Per pair, in row order: (clipped overlap, hyp total, ref total) of
+        order-n n-grams, counted on the first call for ``n``.  The overlap
+        counts each hyp n-gram at most as often as the reference holds it;
+        the totals count n-grams with repeats."""
+        if n not in self._overlap_rows:
+            rows = []
+            for ref, hyp in zip(self.references, self.hypotheses):
+                ref_counts = _ngram_counts(ref, n)
+                hyp_counts = _ngram_counts(hyp, n)
+                rows.append((sum((hyp_counts & ref_counts).values()),
+                             sum(hyp_counts.values()), sum(ref_counts.values())))
+            self._overlap_rows[n] = tuple(rows)
+        return self._overlap_rows[n]
+
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    # None past the length, where n slices would make BLEU quadratic in max_n.
+    if n > len(tokens):
+        return Counter()
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def _position_masks(tokens: Sequence[str]) -> dict[str, int]:
@@ -92,52 +118,26 @@ def _position_masks(tokens: Sequence[str]) -> dict[str, int]:
     return masks
 
 
-Overlaps = dict[int, tuple[tuple[int, int, int], ...]]
-
-
-def ngram_overlaps(corpus: CorpusPair, orders: Iterable[int]) -> Overlaps:
-    """Per n-gram order, per pair: (clipped overlap, hyp total, ref total).
-
-    The clipped overlap counts each hyp n-gram at most as often as the
-    reference holds it; the totals count n-grams with repeats.  Computing
-    them once lets BLEU at several orders and ROUGE-n share one count of
-    each pair's n-grams: pass the result to :func:`bleu` and
-    :func:`rouge_n` as ``overlaps``.
-    """
-    result: Overlaps = {}
-    for n in orders:
-        rows = []
-        for ref, hyp in zip(corpus.references, corpus.hypotheses):
-            ref_counts = _ngram_counts(ref, n)
-            hyp_counts = _ngram_counts(hyp, n)
-            rows.append((sum((hyp_counts & ref_counts).values()),
-                         sum(hyp_counts.values()), sum(ref_counts.values())))
-        result[n] = tuple(rows)
-    return result
-
-
-def bleu(corpus: CorpusPair, max_n: int = 4, epsilon: float = BLEU_EPSILON,
-         overlaps: Overlaps | None = None) -> float:
+def bleu(corpus: CorpusPair, max_n: int = 4, epsilon: float = BLEU_EPSILON) -> float:
     """Corpus BLEU with uniform n-gram weights and brevity penalty.
 
     Clipped n-gram matches and totals are pooled over the whole corpus
     before forming precisions.  A zero numerator is replaced by ``epsilon``
     (additive smoothing on the numerator only); a zero denominator, which
     occurs when every hypothesis is shorter than n, is floored at one.
-    ``overlaps``, from :func:`ngram_overlaps` over at least orders
-    1..max_n of this corpus, saves counting the n-grams again.
+    Each order's counts are kept on ``corpus``, so BLEU at another
+    ``max_n`` and ROUGE-n on the same corpus do not count them again.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("BLEU over an empty corpus is undefined")
     if max_n < 1:
         raise InputError("max_n must be at least 1")
-    if overlaps is None:
-        overlaps = ngram_overlaps(corpus, range(1, max_n + 1))
 
     log_sum = 0.0
     for n in range(1, max_n + 1):
-        clipped = sum(row[0] for row in overlaps[n])
-        total = sum(row[1] for row in overlaps[n])
+        rows = corpus._overlaps(n)
+        clipped = sum(row[0] for row in rows)
+        total = sum(row[1] for row in rows)
         numerator = clipped if clipped > 0 else epsilon
         precision = numerator / max(total, 1)
         log_sum += math.log(precision) / max_n
@@ -177,20 +177,18 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_n(corpus: CorpusPair, n: int, overlaps: Overlaps | None = None) -> float:
+def rouge_n(corpus: CorpusPair, n: int) -> float:
     """Mean per-pair ROUGE-n F1 (clipped n-gram overlap).
 
-    ``overlaps``, from :func:`ngram_overlaps` over order n of this
-    corpus, saves counting the n-grams again.
+    Reads the order-n counts kept on ``corpus`` when BLEU or ROUGE-n has
+    counted them already.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("ROUGE over an empty corpus is undefined")
     if n < 1:
         raise InputError("n must be at least 1")
-    if overlaps is None:
-        overlaps = ngram_overlaps(corpus, (n,))
     total = 0.0
-    for overlap, hyp_total, ref_total in overlaps[n]:
+    for overlap, hyp_total, ref_total in corpus._overlaps(n):
         total += _f1(overlap, hyp_total, ref_total)
     return total / len(corpus)
 

@@ -66,6 +66,13 @@ class TestIngest:
         assert code == 1
         assert "error:" in err
 
+    def test_field_over_csv_limit_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(f"id,name,smiles,indication\nD1,X,{'C' * 200_000},Pain\n")
+        code, _, err = run(capsys, "ingest", str(path), "--layout", "drugbank_csv")
+        assert code == 1
+        assert err.startswith(f"error: {path} line 2: field larger than field limit")
+
 
 class TestStats:
     def test_table_output(self, capsys, fixtures_dir):
@@ -386,6 +393,8 @@ class TestHostileFiles:
         "non_object": b"5\n",
         "null_text": b'{"id": "b", "reference": null, "hypothesis": null, "smiles": null, "indication": null}\n',
         "undecodable": b'{"id": "b", "reference": "C\xff", "hypothesis": "C", "smiles": "C\xff", "indication": "x"}\n',
+        # Past int()'s 4,300-digit limit json.loads raises a plain ValueError.
+        "long_int": b'{"id": ' + b"9" * 5000 + b', "reference": "C", "hypothesis": "C", "smiles": "C", "indication": "x"}\n',
     }
 
     @pytest.mark.parametrize("bad", sorted(BAD_LINES))

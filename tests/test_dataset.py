@@ -91,6 +91,9 @@ class TestGenericJsonl:
         '5',
         '{"id": "a", "smiles": null, "indication": "x"}',
         '{"id": "a", "smiles": "C", "indication": ["x"]}',
+        # Past int()'s 4,300-digit limit json.loads raises a plain ValueError.
+        pytest.param('{"id": ' + "9" * 5000 + ', "smiles": "C", "indication": "x"}',
+                     id="5000-digit-id"),
     ])
     def test_non_object_or_non_string_line_raises_with_line(self, tmp_path, line):
         path = tmp_path / "p.jsonl"
@@ -147,6 +150,15 @@ class TestDrugbankCsv:
         pairs, _ = ingest(path, "drugbank_csv")
         assert pairs.records[0].indication == "Pain, acute"
 
+    def test_field_over_csv_limit_raises_with_line(self, tmp_path):
+        # csv.field_size_limit() is 131,072 characters.
+        path = tmp_path / "d.csv"
+        path.write_text("id,name,smiles,indication\n"
+                        "D1,X,CC,Pain\n"
+                        f"D2,Y,{'C' * 200_000},Pain\n")
+        with pytest.raises(SchemaMismatch, match="line 3: field larger"):
+            ingest(path, "drugbank_csv")
+
 
 class TestChemblTsv:
     def test_merges_repeated_ids(self, fixtures_dir):
@@ -178,6 +190,12 @@ class TestChemblTsv:
         path = tmp_path / "c.tsv"
         path.write_text("id\tsmiles\theading\nC1\tCC\tPain\n")
         with pytest.raises(SchemaMismatch):
+            ingest(path, "chembl_tsv")
+
+    def test_header_field_over_csv_limit_raises_with_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text(f"chembl_id\t{'x' * 200_000}\tmesh_heading\n")
+        with pytest.raises(SchemaMismatch, match="line 1: field larger"):
             ingest(path, "chembl_tsv")
 
 

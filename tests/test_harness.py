@@ -7,13 +7,14 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import evalkit
-from evalkit import cli, fingerprints, harness, smiles
+from evalkit import cli, fingerprints, harness, smiles, textmetrics
 from evalkit.errors import (
     DuplicateId,
     EmbeddingRowMismatch,
@@ -130,6 +131,9 @@ class TestLoadPredictions:
         '{"id": "a", "reference": "x", "hypothesis": null}',
         '{"id": "a", "reference": 3, "hypothesis": "y"}',
         '{"id": null, "reference": "x", "hypothesis": "y"}',
+        # Past int()'s 4,300-digit limit json.loads raises a plain ValueError.
+        pytest.param('{"id": ' + "9" * 5000 + ', "reference": "x", "hypothesis": "y"}',
+                     id="5000-digit-id"),
     ])
     def test_non_object_or_non_string_line_raises_with_line(self, tmp_path, line):
         path = tmp_path / "p.jsonl"
@@ -560,12 +564,38 @@ class TestEvalD2i:
         bad = tmp_path / "e.txt"
         bad.write_text("no header\n")
 
-        def unexpected(*args):
+        def unexpected(*args, **kwargs):
             raise AssertionError("n-grams counted before the embedding read")
 
-        monkeypatch.setattr(harness, "ngram_overlaps", unexpected)
+        monkeypatch.setattr(harness, "bleu", unexpected)
         with pytest.raises(InputError):
             eval_d2i(d2i_preds, text2mol_embeddings=bad)
+
+    def test_each_ngram_order_counted_once(self, d2i_preds, monkeypatch):
+        orders = []
+        count = textmetrics._ngram_counts
+
+        def counting(tokens, n):
+            orders.append(n)
+            return count(tokens, n)
+
+        monkeypatch.setattr(textmetrics, "_ngram_counts", counting)
+        eval_d2i(d2i_preds)
+        # BLEU-2, BLEU-4, ROUGE-1 and ROUGE-2 share one count per order:
+        # each pair's reference and hypothesis, at orders 1-4.
+        assert Counter(orders) == {n: 2 * len(d2i_preds) for n in range(1, 5)}
+        corpus = CorpusPair.from_strings(
+            [r.reference for r in d2i_preds.rows],
+            [r.hypothesis for r in d2i_preds.rows], TokenMode.WORD)
+        bleu(corpus)
+        counted = len(orders)
+        rouge_n(corpus, 2)
+        assert len(orders) == counted
+
+    def test_text2mol_cosine_sums_in_order(self):
+        # Summed left to right the dot product is 1e16 + 1 - 1e16 = 0; an
+        # exact sum, as sum() of floats gives from Python 3.12, is 1.
+        assert harness._cosine([1e8, 1.0, 1e8], [1e8, 1.0, -1e8]) == 0.0
 
     def test_task_mismatch(self, i2d_preds):
         with pytest.raises(TaskMismatch):
@@ -629,7 +659,7 @@ class TestRendering:
 
     def test_report_from_json_rejects_garbage(self, i2d_preds):
         for text in ("not json", '{"task": "indication_to_drug"}',
-                     "[]", "5", '"report"', "null"):
+                     "[]", "5", '"report"', "null", "9" * 5000):
             with pytest.raises(SchemaMismatch):
                 report_from_json(text)
         good = json.loads(render_report(eval_i2d(i2d_preds), "json"))

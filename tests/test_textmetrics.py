@@ -21,7 +21,6 @@ from evalkit.textmetrics import (
     exact_match,
     levenshtein,
     meteor,
-    ngram_overlaps,
     rouge_l,
     rouge_n,
     tokenize_text,
@@ -144,13 +143,14 @@ class TestRouge:
         assert rouge_n(corpus, 1) == 0.5
 
     @pytest.mark.parametrize("n", [0, -1])
-    @pytest.mark.parametrize("shared", [False, True], ids=["own", "overlaps"])
-    def test_bad_n_rejected(self, n, shared):
+    @pytest.mark.parametrize("counted", [False, True], ids=["fresh", "counted"])
+    def test_bad_n_rejected(self, n, counted):
         # Unchecked, n = 0 scored 0.857 here (empty n-grams) and n = -1 0.667.
         corpus = pair(["a b c"], ["x y"])
-        overlaps = ngram_overlaps(corpus, (n,)) if shared else None
+        if counted:
+            bleu(corpus)
         with pytest.raises(InputError, match="n must be at least 1"):
-            rouge_n(corpus, n, overlaps=overlaps)
+            rouge_n(corpus, n)
 
     def test_empty_hypothesis_scores_zero(self):
         assert rouge_n(pair(["a b"], [""]), 1) == 0.0
@@ -161,7 +161,7 @@ class TestRouge:
 
 
 class TestNgramOverlaps:
-    """BLEU and ROUGE-n on shared overlaps against per-metric Counters."""
+    """BLEU and ROUGE-n on a corpus's kept counts against per-metric Counters."""
 
     def test_random_corpora_match_counter_oracles(self):
         rng = random.Random(2002)
@@ -171,17 +171,34 @@ class TestNgramOverlaps:
                     for _ in range(rows)]
             hyps = [" ".join(rng.choice("abcd") for _ in range(rng.randrange(0, 12)))
                     for _ in range(rows)]
-            corpus = pair(refs, hyps)
-            overlaps = ngram_overlaps(corpus, range(1, 5))
+            counted = pair(refs, hyps)
+            bleu(counted, max_n=4)
+            # The kept counts are not a field.
+            assert counted == pair(refs, hyps)
+            assert hash(counted) == hash(pair(refs, hyps))
+            assert repr(counted) == repr(pair(refs, hyps))
             for n in range(1, 7):
-                expected = oracles.bleu_by_counters(corpus, n, BLEU_EPSILON)
-                assert bleu(corpus, max_n=n) == expected, corpus
-                if n <= 4:
-                    assert bleu(corpus, max_n=n, overlaps=overlaps) == expected
-                expected = oracles.rouge_n_by_counters(corpus, n)
-                assert rouge_n(corpus, n) == expected, corpus
-                if n <= 4:
-                    assert rouge_n(corpus, n, overlaps=overlaps) == expected
+                expected = oracles.bleu_by_counters(counted, n, BLEU_EPSILON)
+                assert bleu(pair(refs, hyps), max_n=n) == expected, counted
+                assert bleu(counted, max_n=n) == expected, counted
+                expected = oracles.rouge_n_by_counters(counted, n)
+                assert rouge_n(pair(refs, hyps), n) == expected, counted
+                assert rouge_n(counted, n) == expected, counted
+
+    def test_orders_past_the_length_take_no_slices(self):
+        # BLEU counts every order up to max_n, so an order past the tokens
+        # must cost O(1), not one slice per position of the n-gram.
+        class Tokens(tuple):
+            slices = 0
+
+            def __getitem__(self, index):
+                Tokens.slices += 1
+                return tuple.__getitem__(self, index)
+
+        assert textmetrics._ngram_counts(Tokens("abc"), 100_000) == Counter()
+        assert Tokens.slices == 0
+        assert textmetrics._ngram_counts(Tokens("abc"), 2) == Counter(
+            [("a", "b"), ("b", "c")])
 
 
 class TestMeteor:
