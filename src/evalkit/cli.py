@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 for input errors (bad files, bad SMILES where
-parseable input is required, bad argument combinations), 2 for internal
-numeric failures.
+parseable input is required, bad argument combinations) and for running
+out of memory, 2 for internal numeric failures.
 """
 
 from __future__ import annotations
@@ -290,6 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 1
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -81,14 +81,26 @@ class Fingerprint:
         return format(self.bits, f"0{(self.width + 3) // 4}x")
 
 
+# Setting a bit builds a shifted int up to the width wide, once per
+# feature; 1 << 16 is 32x the default 2,048.
+_MAX_WIDTH = 1 << 16
+# Morgan makes one pass over every atom per radius step; circular
+# fingerprints use radius 2 or 3.
+_MAX_RADIUS = 32
+
+
 def _require_width(width: int) -> None:
     if width < 4 or width & (width - 1):
         raise InputError(f"fingerprint width must be a power of two >= 4, got {width}")
+    if width > _MAX_WIDTH:
+        raise InputError(f"fingerprint width must be at most {_MAX_WIDTH}, got {width}")
 
 
 def _require_radius(radius: int) -> None:
     if radius < 0:
         raise InputError("radius must be non-negative")
+    if radius > _MAX_RADIUS:
+        raise InputError(f"radius must be at most {_MAX_RADIUS}, got {radius}")
 
 
 def _require_max_path(max_path_bonds: int) -> None:

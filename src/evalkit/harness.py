@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from .dataset import read_jsonl_objects
 from .errors import (
@@ -45,6 +45,7 @@ from .textmetrics import (
     BLEU_EPSILON,
     CorpusPair,
     TokenMode,
+    _require_bleu_order,
     bleu,
     exact_match,
     levenshtein,
@@ -247,116 +248,87 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-class _BackSweep:
-    """One forked helper that fingerprints a plan from the back.
+def _sweep(items: list, fn: Callable[[Any], Any]) -> list:
+    """``[fn(item) for item in items]``, on two CPUs when there are two.
 
-    It sends each molecule's fingerprints down a pipe as a 4-byte length
-    and the ``marshal``-ed ``(bits, width, scheme, params)`` of each, in
-    order ``plan[-1], plan[-2], ...``, and stops at its first exception.
-    ``marshal`` is built in, so the helper loads no module to send them.
+    This process works from ``items[0]`` forward. One forked helper works
+    from the back and sends each value down a pipe as a 4-byte length and
+    its ``marshal`` bytes; ``marshal`` is built in, so the helper loads no
+    module to send them. This process takes what has arrived after each
+    item, without waiting, so the two stop where they meet and at most one
+    item is computed twice. ``fn`` must therefore return plain values that
+    ``marshal`` gives back equal. A value it cannot write stops the helper,
+    and this process then does every item itself.
+
+    This process never waits for the helper: a helper that dies or raises
+    only leaves more of the items to this process, so any error is raised
+    here, for the first failing item in order, as without a helper. Each
+    item leaves ``items`` once its value is in, and what it holds goes with
+    it.
     """
-
-    def __init__(self, plan: list[Molecule],
-                 fingerprint: Callable[[Molecule], tuple[fp.Fingerprint, ...]]) -> None:
-        self.pending = bytearray()
-        self.fd, write_fd = os.pipe()
+    results: list = [None] * len(items)
+    start, end = 0, len(items)  # results[:start] made here, results[end:] sent
+    pid = None  # the helper's, once forked
+    if len(items) >= 2 and hasattr(os, "fork") and _cpu_count() >= 2:
         try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(self.fd)
-            os.close(write_fd)
-            raise
-        if self.pid:
-            os.close(write_fd)
-            os.set_blocking(self.fd, False)
-            return
+            fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd)
+                os.close(write_fd)
+                raise
+        except OSError:  # no process or pipe to spare: one CPU's sweep
+            pass
+    if pid == 0:
         # The helper: a copy of the caller, stack and all, so it must never
         # return into it. Whatever happens, it ends here.
         try:
             import gc
 
-            os.close(self.fd)
+            os.close(fd)
             gc.disable()  # a collection would touch, and so copy, every page
-            for mol in reversed(plan):
-                record = marshal.dumps(tuple(
-                    (f.bits, f.width, f.scheme, f.params) for f in fingerprint(mol)))
-                out = memoryview(len(record).to_bytes(4, "little") + record)
+            for item in reversed(items):
+                value = marshal.dumps(fn(item))
+                out = memoryview(len(value).to_bytes(4, "little") + value)
                 while out:
                     out = out[os.write(write_fd, out):]
         finally:
             os._exit(0)
-
-    def received(self) -> list[tuple[fp.Fingerprint, ...]]:
-        """The records that arrived since the last call, without waiting."""
-        from .fingerprints import Fingerprint
-
-        try:
-            while chunk := os.read(self.fd, 1 << 16):
-                self.pending += chunk
-        except BlockingIOError:
-            pass
-        records = []
-        pending = self.pending
-        while len(pending) >= 4:
-            end = 4 + int.from_bytes(pending[:4], "little")
-            if len(pending) < end:
-                break
-            records.append(tuple(Fingerprint(*fields)
-                                 for fields in marshal.loads(pending[4:end])))
-            del pending[:end]
-        return records
-
-    def stop(self) -> None:
-        """Kill and reap the helper, wherever it is."""
-        import signal
-
-        os.close(self.fd)
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass  # reaped already: the caller ignores SIGCHLD
-
-
-def _sweep(plan: list[Molecule],
-           fingerprint: Callable[[Molecule], tuple[fp.Fingerprint, ...]],
-           ) -> list[tuple[fp.Fingerprint, ...]]:
-    """``[fingerprint(mol) for mol in plan]``, on two CPUs when there are two.
-
-    This process works from ``plan[0]`` forward. A :class:`_BackSweep`
-    helper works from the back, and this process takes what it has sent
-    after each molecule, so the two stop where they meet and at most one
-    molecule is fingerprinted twice. This process never waits for the
-    helper: a helper that dies or raises only leaves more of the plan to
-    this process, so any error is raised here, for the first failing
-    molecule in plan order, as without a helper.
-
-    Each molecule leaves ``plan`` once its fingerprints are in, and the
-    caches it built go with it.
-    """
-    results: list = [None] * len(plan)
-    start, end = 0, len(plan)  # results[:start] made here, results[end:] sent
-    helper = None
-    if len(plan) >= 2 and hasattr(os, "fork") and _cpu_count() >= 2:
-        try:
-            helper = _BackSweep(plan, fingerprint)
-        except OSError:  # no process or pipe to spare: one CPU's sweep
-            pass
+    if pid:
+        os.close(write_fd)
+        os.set_blocking(fd, False)
+    pending = bytearray()
     try:
         while start < end:
-            results[start] = fingerprint(plan[start])
-            plan[start] = None
+            results[start] = fn(items[start])
+            items[start] = None
             start += 1
-            if helper is not None:
-                for record in helper.received():
-                    if end == start:
-                        break
-                    end -= 1
-                    results[end] = record
-                    plan[end] = None
+            if not pid:
+                continue
+            try:
+                while chunk := os.read(fd, 1 << 16):
+                    pending += chunk
+            except BlockingIOError:
+                pass
+            while len(pending) >= 4 and start < end:
+                size = 4 + int.from_bytes(pending[:4], "little")
+                if len(pending) < size:
+                    break
+                end -= 1
+                results[end] = marshal.loads(pending[4:size])
+                items[end] = None
+                del pending[:size]
     finally:
-        if helper is not None:
-            helper.stop()
+        if pid:
+            import signal
+
+            os.close(fd)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped already: the caller ignores SIGCHLD
     return results
 
 
@@ -377,10 +349,10 @@ def eval_i2d(preds: PredictionFile,
     requires both embedding files and is otherwise reported as not computed.
 
     Each distinct SMILES string (after stripping whitespace) is validated
-    once per call, however many rows repeat it, and fingerprinted once, but
-    for at most one molecule twice, where the sweeps meet (see
-    :func:`_sweep`).  A reference is graded only when its row's hypothesis
-    parses.
+    once per call, however many rows repeat it.  Its molecule is
+    fingerprinted once by :func:`_sweep`, on two CPUs when there are two,
+    except that the molecule where the two sweeps meet may be done twice.
+    A reference is graded only when its row's hypothesis parses.
     """
     _require_task(preds, Task.INDICATION_TO_DRUG)
     # Imported here, so eval-d2i never loads the SMILES parser or the
@@ -393,6 +365,7 @@ def eval_i2d(preds: PredictionFile,
     fp._require_width(bits)
     fp._require_radius(radius)
     fp._require_max_path(max_path_bonds)
+    _require_bleu_order(bleu_max_n)
     if keyset is None:
         keyset = fp.DEFAULT_KEYSET
     if (embeddings_ref is None) != (embeddings_hyp is None):
@@ -460,8 +433,13 @@ def eval_i2d(preds: PredictionFile,
         if ref_slot is not None:
             pairs.append((ref_slot, hyp_slot))
 
-    prints = _sweep(plan, lambda mol: tuple(
-        make(mol, *args) for _, make, args in schemes))
+    def kernel(mol: Molecule) -> tuple:
+        # Plain fields, which the helper can send; rebuilt below.
+        return tuple((f.bits, f.width, f.scheme, f.params)
+                     for f in (make(mol, *args) for _, make, args in schemes))
+
+    prints = [tuple(fp.Fingerprint(*fields) for fields in record)
+              for record in _sweep(plan, kernel)]
 
     used = len(pairs)
     sums = [0.0] * len(schemes)

@@ -153,9 +153,7 @@ class Molecule:
         for i, bond in enumerate(self.bonds):
             if not self.ring_bond_flags[i]:
                 continue
-            length = _shortest_path_avoiding(self, bond.from_idx, bond.to_idx, i)
-            if length is not None:
-                sizes.add(length + 1)
+            sizes.add(_shortest_path_avoiding(self, bond.from_idx, bond.to_idx, i) + 1)
         return frozenset(sizes)
 
     @cached_property
@@ -233,10 +231,9 @@ def _find_bridges(mol: Molecule) -> set[int]:
     return bridges
 
 
-def _shortest_path_avoiding(mol: Molecule, start: int, goal: int, skip_bond: int) -> int | None:
-    """BFS distance from start to goal without traversing bond ``skip_bond``."""
-    if start == goal:
-        return 0
+def _shortest_path_avoiding(mol: Molecule, start: int, goal: int, skip_bond: int) -> int:
+    """BFS distance from start to goal without traversing bond ``skip_bond``,
+    a ring bond between them, so another path always exists."""
     seen = {start}
     frontier = [start]
     dist = 0
@@ -254,7 +251,6 @@ def _shortest_path_avoiding(mol: Molecule, start: int, goal: int, skip_bond: int
                     seen.add(nbr)
                     nxt.append(nbr)
         frontier = nxt
-    return None
 
 
 @dataclass(frozen=True)

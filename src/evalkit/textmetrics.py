@@ -24,6 +24,8 @@ from typing import Iterable, Sequence
 from .errors import EmptyCorpus, InputError, LengthMismatch
 
 BLEU_EPSILON = 1e-9
+# Each BLEU order is one more count over every pair; BLEU uses 4.
+_MAX_BLEU_ORDER = 32
 
 # Exact chunk minimisation in METEOR explores at most this many alignment
 # search nodes; when the budget runs out, the best alignment found so far
@@ -118,6 +120,13 @@ def _position_masks(tokens: Sequence[str]) -> dict[str, int]:
     return masks
 
 
+def _require_bleu_order(max_n: int) -> None:
+    if max_n < 1:
+        raise InputError("max_n must be at least 1")
+    if max_n > _MAX_BLEU_ORDER:
+        raise InputError(f"max_n must be at most {_MAX_BLEU_ORDER}, got {max_n}")
+
+
 def bleu(corpus: CorpusPair, max_n: int = 4, epsilon: float = BLEU_EPSILON) -> float:
     """Corpus BLEU with uniform n-gram weights and brevity penalty.
 
@@ -130,8 +139,7 @@ def bleu(corpus: CorpusPair, max_n: int = 4, epsilon: float = BLEU_EPSILON) -> f
     """
     if len(corpus) == 0:
         raise EmptyCorpus("BLEU over an empty corpus is undefined")
-    if max_n < 1:
-        raise InputError("max_n must be at least 1")
+    _require_bleu_order(max_n)
 
     log_sum = 0.0
     for n in range(1, max_n + 1):

@@ -243,7 +243,13 @@ class TestFingerprint:
         ("path", "--bits", "3", "fingerprint width must be a power of two >= 4, got 3"),
         ("morgan", "--radius", "-1", "radius must be non-negative"),
         ("path", "--max-path", "0", "max_path_bonds must be at least 1"),
-    ], ids=["morgan-bits", "path-bits", "radius", "max-path"])
+        ("morgan", "--bits", "131072",
+         "fingerprint width must be at most 65536, got 131072"),
+        ("path", "--bits", "131072",
+         "fingerprint width must be at most 65536, got 131072"),
+        ("morgan", "--radius", "33", "radius must be at most 32, got 33"),
+    ], ids=["morgan-bits", "path-bits", "radius", "max-path", "morgan-bits-max",
+            "path-bits-max", "radius-max"])
     def test_bad_option_exits_one_on_empty_input(self, capsys, tmp_path,
                                                  scheme, flag, value, message):
         # The exit code must not depend on whether the input holds a line.
@@ -291,6 +297,39 @@ class TestFcd:
                            "--embeddings-hyp", str(path))
         assert code == 2
         assert "error:" in err
+
+    def test_out_of_memory_exits_one(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "e.txt"
+        path.write_text("D=1\n1\n2\n")
+
+        def explode(a, b):
+            raise MemoryError
+
+        monkeypatch.setattr("evalkit.cli.fcd_from_files", explode)
+        code, out, err = run(capsys, "fcd",
+                             "--embeddings-ref", str(path),
+                             "--embeddings-hyp", str(path))
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
+    def test_out_of_memory_under_a_cap_exits_one(self, tmp_path):
+        # Two rows of 20,000 values: the D x D covariance alone is 2.98 GiB,
+        # past the child's 1.5 GiB address-space limit.
+        import resource
+
+        path = tmp_path / "e.txt"
+        row = " ".join(["1"] * 20_000)
+        path.write_text(f"D=20000\n{row}\n{row}\n")
+        cap = 3 << 29
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "evalkit.cli", "fcd",
+             "--embeddings-ref", str(path), "--embeddings-hyp", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: out of memory: ")
+        assert "Traceback" not in done.stderr
 
     def test_dimension_mismatch_exits_one(self, capsys, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -340,7 +379,12 @@ class TestEvalCommands:
         ("--bits", "3", "fingerprint width must be a power of two >= 4, got 3"),
         ("--radius", "-1", "radius must be non-negative"),
         ("--max-path", "0", "max_path_bonds must be at least 1"),
-    ], ids=["bits", "radius", "max-path"])
+        ("--bits", "131072", "fingerprint width must be at most 65536, got 131072"),
+        ("--radius", "33", "radius must be at most 32, got 33"),
+        ("--bleu-max-n", "0", "max_n must be at least 1"),
+        ("--bleu-max-n", "33", "max_n must be at most 32, got 33"),
+    ], ids=["bits", "radius", "max-path", "bits-max", "radius-max", "bleu-max-n",
+            "bleu-max-n-max"])
     def test_eval_i2d_bad_fingerprint_option_exits_one(self, capsys, tmp_path,
                                                        flag, value, message,
                                                        hypothesis):
@@ -351,6 +395,17 @@ class TestEvalCommands:
         code, out, err = run(capsys, "eval-i2d", str(preds), flag, value)
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+    def test_eval_i2d_bad_bleu_order_beats_a_bad_embedding_file(self, capsys,
+                                                                 fixtures_dir,
+                                                                 tmp_path):
+        bad = tmp_path / "e.txt"
+        bad.write_text("no header\n")
+        code, out, err = run(capsys, "eval-i2d",
+                             str(fixtures_dir / "predictions_i2d_small.jsonl"),
+                             "--text2mol-embeddings", str(bad), "--bleu-max-n", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: max_n must be at least 1\n"
 
     def test_eval_d2i_csv(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "eval-d2i",

@@ -113,6 +113,12 @@ class TestMorgan:
         with pytest.raises(InputError):
             morgan_fingerprint(parse_smiles("C"), width=2)
 
+    def test_width_above_the_limit_rejected(self):
+        mol = parse_smiles("CCO")
+        assert morgan_fingerprint(mol, width=1 << 16).width == 1 << 16
+        with pytest.raises(InputError):
+            morgan_fingerprint(mol, width=1 << 17)
+
     def test_charge_and_hydrogens_feed_invariant(self):
         assert (morgan_fingerprint(parse_smiles("[NH4+]"), radius=0).bits
                 != morgan_fingerprint(parse_smiles("N"), radius=0).bits)

@@ -525,6 +525,46 @@ class TestFingerprintHelper:
         assert forks == []
 
 
+class TestSweep:
+    """harness._sweep is a map over any items and any kernel whose values
+    marshal can send."""
+
+    ITEMS = [f"item {k}" for k in range(8)]
+
+    @pytest.mark.parametrize("one_cpu", [True, False], ids=["one_cpu", "two_cpus"])
+    def test_values_in_item_order(self, one_cpu, monkeypatch, forks):
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        items = list(self.ITEMS)
+        values = harness._sweep(items, lambda s: (s, os.getpid()))
+        _no_child_left()
+        assert items == [None] * len(self.ITEMS)
+        assert len(forks) == (HAS_HELPER and not one_cpu)
+        # fn's value for each item, from whichever process computed it
+        assert values == [(s, pid) for s, (_, pid) in zip(self.ITEMS, values, strict=True)]
+        assert {pid for _, pid in values} <= {os.getpid(), *forks}
+        if one_cpu:
+            assert values == [(s, os.getpid()) for s in self.ITEMS]
+
+    @needs_helper
+    def test_helper_sends_values(self, forks):
+        caller = os.getpid()
+
+        def slow_in_caller(s):
+            if os.getpid() == caller:
+                time.sleep(0.02)
+            return s, os.getpid()
+
+        items = list(self.ITEMS)
+        values = harness._sweep(items, slow_in_caller)
+        _no_child_left()
+        assert items == [None] * len(self.ITEMS)
+        assert [s for s, _ in values] == self.ITEMS
+        assert values[0][1] == caller  # the caller starts at items[0]
+        assert {pid for _, pid in values} == {caller, *forks}
+        assert len(forks) == 1
+
+
 class TestEvalD2i:
     def test_scores_compose_from_module_calls(self, d2i_preds):
         report = eval_d2i(d2i_preds)
