@@ -119,26 +119,27 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
     from . import fingerprints as fp
     from .smiles import parse_smiles
 
-    # The scheme's options are checked before any line is read, so the exit
-    # code does not depend on the input.
+    # The scheme's options are checked, and its key set read, before any
+    # line is read, so the exit code does not depend on the input.
     if args.scheme == "morgan":
         fp._require_width(args.bits)
         fp._require_radius(args.radius)
+        make = functools.partial(fp.morgan_fingerprint, radius=args.radius,
+                                 width=args.bits)
     elif args.scheme == "path":
         fp._require_width(args.bits)
         fp._require_max_path(args.max_path)
-    keyset = fp.KeySet.load(args.keyset) if args.keyset else fp.DEFAULT_KEYSET
+        make = functools.partial(fp.path_fingerprint,
+                                 max_path_bonds=args.max_path, width=args.bits)
+    else:
+        keyset = fp.KeySet.load(args.keyset) if args.keyset else fp.DEFAULT_KEYSET
+        make = functools.partial(fp.key_fingerprint, keyset=keyset)
     for lineno, line in _read_lines(args.path):
         try:
             mol = parse_smiles(line)
         except EvalkitError as exc:
             raise InputError(f"input line {lineno}: {exc}") from exc
-        if args.scheme == "morgan":
-            print(fp.morgan_fingerprint(mol, args.radius, args.bits).to_hex())
-        elif args.scheme == "path":
-            print(fp.path_fingerprint(mol, args.max_path, args.bits).to_hex())
-        else:
-            print(fp.key_fingerprint(mol, keyset).to_hex())
+        print(make(mol).to_hex())
     return 0
 
 
@@ -164,6 +165,9 @@ def _cmd_eval_d2i(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_i2d(args: argparse.Namespace) -> int:
+    harness.check_i2d_options(args.embeddings_ref, args.embeddings_hyp,
+                              args.radius, args.bits, args.max_path,
+                              args.bleu_max_n)
     preds = harness.load_predictions(args.predictions,
                                      harness.Task.INDICATION_TO_DRUG)
     if args.keyset:

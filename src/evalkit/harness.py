@@ -332,6 +332,27 @@ def _sweep(items: list, fn: Callable[[Any], Any]) -> list:
     return results
 
 
+def check_i2d_options(embeddings_ref: str | Path | None,
+                      embeddings_hyp: str | Path | None,
+                      radius: int, bits: int, max_path_bonds: int,
+                      bleu_max_n: int) -> None:
+    """Raise :class:`InputError` for a bad :func:`eval_i2d` option.
+
+    Checked before any file is read, so the exit code does not depend on
+    the files, and not only where a molecule is fingerprinted, so a bad
+    option fails the same way whether or not any SMILES parses.
+    """
+    from . import fingerprints as fp
+
+    fp._require_width(bits)
+    fp._require_radius(radius)
+    fp._require_max_path(max_path_bonds)
+    _require_bleu_order(bleu_max_n)
+    if (embeddings_ref is None) != (embeddings_hyp is None):
+        raise InputError(
+            "FCD needs both reference and hypothesis embedding files")
+
+
 def eval_i2d(preds: PredictionFile,
              embeddings_ref: str | Path | None = None,
              embeddings_hyp: str | Path | None = None,
@@ -355,22 +376,15 @@ def eval_i2d(preds: PredictionFile,
     A reference is graded only when its row's hypothesis parses.
     """
     _require_task(preds, Task.INDICATION_TO_DRUG)
+    check_i2d_options(embeddings_ref, embeddings_hyp, radius, bits,
+                      max_path_bonds, bleu_max_n)
     # Imported here, so eval-d2i never loads the SMILES parser or the
     # fingerprint code, and before the embedding files are read (see below).
     from . import fingerprints as fp
     from .smiles import validate
 
-    # Checked here, not only where a molecule is fingerprinted, so a bad
-    # option fails the same way whether or not any SMILES parses.
-    fp._require_width(bits)
-    fp._require_radius(radius)
-    fp._require_max_path(max_path_bonds)
-    _require_bleu_order(bleu_max_n)
     if keyset is None:
         keyset = fp.DEFAULT_KEYSET
-    if (embeddings_ref is None) != (embeddings_hyp is None):
-        raise InputError(
-            "FCD needs both reference and hypothesis embedding files")
 
     # The embedding files are read before the row metrics. A bad one then
     # fails before the fingerprint work, and NumPy, imported by a process's

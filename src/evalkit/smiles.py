@@ -149,12 +149,9 @@ class Molecule:
     @cached_property
     def ring_sizes(self) -> frozenset[int]:
         """Sizes of the smallest cycle through each ring bond."""
-        sizes = set()
-        for i, bond in enumerate(self.bonds):
-            if not self.ring_bond_flags[i]:
-                continue
-            sizes.add(_shortest_path_avoiding(self, bond.from_idx, bond.to_idx, i) + 1)
-        return frozenset(sizes)
+        return frozenset(_shortest_path_avoiding(self, bond) + 1
+                         for bond, in_ring in zip(self.bonds, self.ring_bond_flags)
+                         if in_ring)
 
     @cached_property
     def implicit_h(self) -> tuple[int, ...]:
@@ -196,54 +193,54 @@ class Molecule:
 
 def _find_bridges(mol: Molecule) -> set[int]:
     """The ``id()`` of each bond that is a bridge (removing one disconnects
-    its component)."""
+    its component), by Tarjan's low-link rule in two passes: a depth-first
+    search numbers the atoms and records the tree bond into each, then a
+    walk back over the visit order takes each atom's low-link after all of
+    its descendants'."""
     adj = mol.neighbors
     disc = [-1] * len(adj)
-    low = [0] * len(adj)
-    bridges: set[int] = set()
-    counter = 0
+    tree_bond: list[Bond | None] = [None] * len(adj)
+    order: list[int] = []
     for root in range(len(adj)):
         if disc[root] != -1:
             continue
-        # Iterative DFS; each stack frame remembers the bond it arrived by.
-        stack: list[tuple[int, Bond | None, int]] = [(root, None, 0)]
+        stack: list[tuple[int, Bond | None]] = [(root, None)]
         while stack:
-            node, in_bond, child_pos = stack[-1]
+            node, in_bond = stack.pop()
             if disc[node] == -1:
-                disc[node] = low[node] = counter
-                counter += 1
-            if child_pos < len(adj[node]):
-                stack[-1] = (node, in_bond, child_pos + 1)
-                nbr, bond = adj[node][child_pos]
-                if bond is in_bond:
-                    continue
-                if disc[nbr] == -1:
-                    stack.append((nbr, bond, 0))
-                else:
-                    low[node] = min(low[node], disc[nbr])
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > disc[parent]:
-                        bridges.add(id(in_bond))
+                disc[node] = len(order)
+                order.append(node)
+                tree_bond[node] = in_bond
+                stack.extend(adj[node])
+    low = disc[:]
+    bridges: set[int] = set()
+    for node in reversed(order):
+        in_bond = tree_bond[node]
+        for nbr, bond in adj[node]:
+            # A descendant's low-link is final by now; an ancestor's is
+            # still its visit number.
+            if bond is not in_bond and low[nbr] < low[node]:
+                low[node] = low[nbr]
+        # Nothing below the tree bond reaches above it: the child's low-link
+        # is its own visit number, so above its parent's.
+        if in_bond is not None and low[node] == disc[node]:
+            bridges.add(id(in_bond))
     return bridges
 
 
-def _shortest_path_avoiding(mol: Molecule, start: int, goal: int, skip_bond: int) -> int:
-    """BFS distance from start to goal without traversing bond ``skip_bond``,
-    a ring bond between them, so another path always exists."""
+def _shortest_path_avoiding(mol: Molecule, ring_bond: Bond) -> int:
+    """BFS distance between the ends of ``ring_bond`` without traversing it;
+    it lies on a cycle, so another path always exists."""
+    start, goal = ring_bond.from_idx, ring_bond.to_idx
     seen = {start}
     frontier = [start]
     dist = 0
-    skipped = mol.bonds[skip_bond]
     while frontier:
         dist += 1
         nxt = []
         for node in frontier:
             for nbr, bond in mol.neighbors[node]:
-                if bond is skipped:
+                if bond is ring_bond:
                     continue
                 if nbr == goal:
                     return dist
@@ -510,26 +507,23 @@ def validate(text: str, strict: bool = False) -> ValidityReport:
     ``molecule``, so a caller that needs the graph does not parse again.
     """
     stripped = text.strip()
-    if not stripped:
-        return ValidityReport(
-            smiles=text, parseable=False, ring_closures_ok=True,
-            parentheses_ok=True, valence_ok=None, verdict=False,
-            failure_detail="empty string")
-    try:
-        mol = parse_smiles(stripped)
-    except SmilesParseError as exc:
-        ring_ok = not isinstance(exc, (UnmatchedRingClosure, RingBondConflict))
-        paren_ok = not isinstance(exc, (UnbalancedParenthesis, EmptyBranch))
-        return ValidityReport(
-            smiles=text, parseable=False, ring_closures_ok=ring_ok,
-            parentheses_ok=paren_ok, valence_ok=None, verdict=False,
-            failure_detail=str(exc))
-    valence = strict_valence_ok(mol) if strict else None
-    verdict = valence is not False
-    detail = "" if verdict else "valence limit exceeded"
+    mol = error = None
+    detail = "empty string"
+    if stripped:
+        try:
+            mol = parse_smiles(stripped)
+        except SmilesParseError as exc:
+            error, detail = exc, str(exc)
+    parseable = mol is not None
+    ring_ok = not isinstance(error, (UnmatchedRingClosure, RingBondConflict))
+    paren_ok = not isinstance(error, (UnbalancedParenthesis, EmptyBranch))
+    valence = strict_valence_ok(mol) if strict and parseable else None
+    verdict = parseable and ring_ok and paren_ok and valence is not False
+    if parseable:
+        detail = "" if verdict else "valence limit exceeded"
     return ValidityReport(
-        smiles=text, parseable=True, ring_closures_ok=True,
-        parentheses_ok=True, valence_ok=valence, verdict=verdict,
+        smiles=text, parseable=parseable, ring_closures_ok=ring_ok,
+        parentheses_ok=paren_ok, valence_ok=valence, verdict=verdict,
         failure_detail=detail, molecule=mol)
 
 

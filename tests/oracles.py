@@ -9,8 +9,9 @@ per value instead of NumPy's text reader, path readings as entry tuples
 hashed byte by byte instead of base-K integers hashed through step
 tables, a chunk search that walks every node instead of one that keeps
 finished subtrees per state, n-gram ``Counter``s built per metric instead
-of once per pair.  Tests compare the two routes; the oracles must stay
-dumb and obvious rather than fast.
+of once per pair, one bond deleted at a time instead of low-links.
+Tests compare the two routes; the oracles must stay dumb and obvious
+rather than fast.
 """
 
 from __future__ import annotations
@@ -293,6 +294,27 @@ def path_descriptors_by_permutation(mol, max_path_bonds: int) -> set[tuple]:
                 code = bonds[pos - 1].order.value if pos > 0 else 0
                 reverse.append((atom.element, int(atom.aromatic), code))
             found.add(min(tuple(entries), tuple(reverse)))
+    return found
+
+
+def bridges_by_deletion(mol) -> set[int]:
+    """Index of each bond whose two ends are disconnected once it is
+    removed, found by one reachability search per bond: O(m·(n+m))."""
+    adjacent: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(mol.atoms))}
+    for i, bond in enumerate(mol.bonds):
+        adjacent[bond.from_idx].append((bond.to_idx, i))
+        adjacent[bond.to_idx].append((bond.from_idx, i))
+    found = set()
+    for skipped, bond in enumerate(mol.bonds):
+        reached = {bond.from_idx}
+        frontier = [bond.from_idx]
+        while frontier:
+            for far, i in adjacent[frontier.pop()]:
+                if i != skipped and far not in reached:
+                    reached.add(far)
+                    frontier.append(far)
+        if bond.to_idx not in reached:
+            found.add(skipped)
     return found
 
 

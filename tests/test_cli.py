@@ -210,6 +210,15 @@ class TestFingerprint:
         assert code == 0
         assert len(out.strip()) == 2   # ceil(5/4) hex digits
 
+    @pytest.mark.parametrize("scheme", ["morgan", "path"])
+    def test_keyset_is_read_only_for_the_keys_scheme(self, capsys, tmp_path,
+                                                     fixtures_dir, scheme):
+        argv = ("fingerprint", str(fixtures_dir / "valid_smiles.txt"),
+                "--scheme", scheme)
+        without = run(capsys, *argv)
+        assert without[0] == 0
+        assert run(capsys, *argv, "--keyset", str(tmp_path / "missing.tsv")) == without
+
     def test_unparseable_line_exits_one_with_line_number(self, capsys, tmp_path):
         path = tmp_path / "in.txt"
         path.write_text("CCO\nC1CC\n")
@@ -406,6 +415,25 @@ class TestEvalCommands:
                              "--text2mol-embeddings", str(bad), "--bleu-max-n", "0")
         assert (code, out) == (1, "")
         assert err == "error: max_n must be at least 1\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("{missing}", "--bits", "3"),
+         "fingerprint width must be a power of two >= 4, got 3"),
+        (("{preds}", "--keyset", "{missing}", "--radius", "99"),
+         "radius must be at most 32, got 99"),
+        (("{missing}", "--bleu-max-n", "0"), "max_n must be at least 1"),
+        (("{missing}", "--embeddings-ref", "{preds}"),
+         "FCD needs both reference and hypothesis embedding files"),
+    ], ids=["bits", "radius-keyset", "bleu-max-n", "lone-embeddings-ref"])
+    def test_eval_i2d_checks_options_before_reading_files(self, capsys, tmp_path,
+                                                          fixtures_dir, argv,
+                                                          message):
+        paths = {"missing": tmp_path / "missing",
+                 "preds": fixtures_dir / "predictions_i2d_small.jsonl"}
+        code, out, err = run(capsys, "eval-i2d",
+                             *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     def test_eval_d2i_csv(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "eval-d2i",

@@ -298,6 +298,53 @@ class TestRingPerception:
         # the two chain bonds joining the rings are bridges
         assert sum(1 for v in flags.values() if not v) == 2
 
+    @staticmethod
+    def bridges(mol) -> set[int]:
+        return {i for i, in_ring in enumerate(mol.ring_bond_flags) if not in_ring}
+
+    def test_ring_bonds_match_deletion_on_generated_graphs(self):
+        rng = random.Random(2525)
+        ring_bond_counts = set()
+        for _ in range(2000):
+            parts = []
+            for _ in range(rng.choice((1, 1, 2))):
+                gmol = genmol.random_molecule(rng, max_ring_bonds=7)
+                parts.append(genmol.write_smiles(gmol, rng=rng)[0])
+                ring_bond_counts.add(len(gmol.bonds) - len(gmol.atoms) + 1)
+            mol = parse_smiles(".".join(parts))
+            assert self.bridges(mol) == oracles.bridges_by_deletion(mol), mol.source
+        assert ring_bond_counts == set(range(8))
+
+    @pytest.mark.parametrize("text, bridges", [
+        ("C1CCC2CCCCC2C1", 0),      # fused: decalin
+        ("C1CCC2(C1)CCC2", 0),      # spiro
+        ("C1CC2CCC1C2", 0),         # bridged: norbornane
+        ("CC1CC2CC1CC2C", 2),       # bridged, with two methyls
+        ("C1CC12CC2.C", 0),         # spiro, beside a lone atom
+    ])
+    def test_ring_bonds_on_known_shapes(self, text, bridges):
+        mol = parse_smiles(text)
+        assert len(self.bridges(mol)) == bridges
+        assert self.bridges(mol) == oracles.bridges_by_deletion(mol)
+
+    def test_complete_graph_written_with_percent_labels(self):
+        # K5: each atom its own component, joined only by ring bonds
+        mol = parse_smiles(
+            "C%10%11%12%13.C%10%14%15%16.C%11%14%17%18.C%12%15%17%19.C%13%16%18%19")
+        assert len(mol.bonds) == 10 and all(mol.ring_bond_flags)
+        assert oracles.bridges_by_deletion(mol) == set()
+        assert mol.ring_sizes == frozenset({3})
+
+    def test_long_chain_is_all_bridges(self):
+        mol = parse_smiles("C" * 30_000)
+        assert len(mol.bonds) == 29_999
+        assert not any(mol.ring_bond_flags)
+
+    def test_long_ring_is_all_ring_bonds(self):
+        mol = parse_smiles("C1" + "C" * 29_998 + "C1")
+        assert len(mol.bonds) == 30_000
+        assert all(mol.ring_bond_flags)
+
 
 class TestGeneratedGraphs:
     """The writer in genmol emits SMILES for a known graph; parsing must
