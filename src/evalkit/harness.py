@@ -45,6 +45,7 @@ from .textmetrics import (
     BLEU_EPSILON,
     CorpusPair,
     TokenMode,
+    _mean,
     _require_bleu_order,
     bleu,
     exact_match,
@@ -191,15 +192,17 @@ def _mean_paired_cosine(path: str | Path, n_rows: int) -> float:
     if len(rows) != n_rows:
         raise EmbeddingRowMismatch(
             f"{path}: {len(rows)} embedding rows for {n_rows} predictions")
-    total = 0.0
-    for number, array_row in enumerate(rows, start=1):
-        # One row at a time: the matrix as Python floats is 3-4x its size.
-        row = array_row.tolist()
-        if not all(map(math.isfinite, row)):
-            raise NonFiniteInput(
-                f"{path}: embedding row {number} holds NaN or infinite values")
-        total += _cosine(row[:dim], row[dim:])
-    return total / n_rows
+
+    def cosines():
+        for number, array_row in enumerate(rows, start=1):
+            # One row at a time: the matrix as Python floats is 3-4x its size.
+            row = array_row.tolist()
+            if not all(map(math.isfinite, row)):
+                raise NonFiniteInput(
+                    f"{path}: embedding row {number} holds NaN or infinite values")
+            yield _cosine(row[:dim], row[dim:])
+
+    return _mean(cosines())
 
 
 def eval_d2i(preds: PredictionFile,
@@ -408,8 +411,7 @@ def eval_i2d(preds: PredictionFile,
     bleu_score = bleu(CorpusPair.from_strings(references, hypotheses, TokenMode.CHAR),
                       max_n=bleu_max_n)
     exact = exact_match(references, hypotheses)
-    mean_lev = sum(
-        levenshtein(r, h) for r, h in zip(references, hypotheses)) / len(preds)
+    mean_lev = _mean(map(levenshtein, references, hypotheses))
 
     # Looked up here, not at import, so a module attribute swapped at run
     # time (a tracer, a test double) is the one called.
@@ -436,11 +438,11 @@ def eval_i2d(preds: PredictionFile,
             record = records[stripped] = (report.verdict, slot)
         return record
 
-    valid = 0
+    verdicts = []
     pairs = []  # (reference slot, hypothesis slot) of rows where both parse
     for ref_text, hyp_text in zip(references, hypotheses):
         verdict, hyp_slot = grade(hyp_text)
-        valid += verdict
+        verdicts.append(verdict)
         if hyp_slot is None:
             continue
         _, ref_slot = grade(ref_text)
@@ -455,19 +457,14 @@ def eval_i2d(preds: PredictionFile,
     prints = [tuple(fp.Fingerprint(*fields) for fields in record)
               for record in _sweep(plan, kernel)]
 
-    used = len(pairs)
-    sums = [0.0] * len(schemes)
-    zero_zero = {label: 0 for label, _, _ in schemes}
-    for ref_slot, hyp_slot in pairs:
-        ref_fps, hyp_fps = prints[ref_slot], prints[hyp_slot]
-        for i, (label, _, _) in enumerate(schemes):
-            if ref_fps[i].bits == 0 and hyp_fps[i].bits == 0:
-                zero_zero[label] += 1
-            sums[i] += fp.tanimoto(ref_fps[i], hyp_fps[i])
-    validity = valid / len(preds)
-    skipped = len(preds) - used
-    maccs_fts, rdk_fts, morgan_fts = (
-        total / used if used else None for total in sums)
+    zero_zero, means = {}, []  # means over the rows where both sides parse
+    for i, (label, _, _) in enumerate(schemes):
+        both = [(prints[ref_slot][i], prints[hyp_slot][i])
+                for ref_slot, hyp_slot in pairs]
+        zero_zero[label] = sum(ref.bits == hyp.bits == 0 for ref, hyp in both)
+        means.append(_mean(fp.tanimoto(ref, hyp) for ref, hyp in both)
+                     if both else None)
+    maccs_fts, rdk_fts, morgan_fts = means
 
     metadata = {
         "task": Task.INDICATION_TO_DRUG.value,
@@ -498,9 +495,9 @@ def eval_i2d(preds: PredictionFile,
         morgan_fts=morgan_fts,
         fcd=fcd,
         text2mol=text2mol,
-        validity=validity,
+        validity=_mean(verdicts),
         rows=len(preds),
-        skipped_invalid=skipped,
+        skipped_invalid=len(preds) - len(pairs),
         metadata=metadata,
     )
 

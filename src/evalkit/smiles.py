@@ -507,16 +507,20 @@ def validate(text: str, strict: bool = False) -> ValidityReport:
     ``molecule``, so a caller that needs the graph does not parse again.
     """
     stripped = text.strip()
-    mol = error = None
+    mol = None
     detail = "empty string"
+    ring_ok = paren_ok = True
     if stripped:
         try:
             mol = parse_smiles(stripped)
         except SmilesParseError as exc:
-            error, detail = exc, str(exc)
+            # Read here, not kept: the exception's traceback holds this
+            # frame, so a name bound to it would keep the whole call's
+            # frames alive until the cyclic collector ran.
+            detail = str(exc)
+            ring_ok = not isinstance(exc, (UnmatchedRingClosure, RingBondConflict))
+            paren_ok = not isinstance(exc, (UnbalancedParenthesis, EmptyBranch))
     parseable = mol is not None
-    ring_ok = not isinstance(error, (UnmatchedRingClosure, RingBondConflict))
-    paren_ok = not isinstance(error, (UnbalancedParenthesis, EmptyBranch))
     valence = strict_valence_ok(mol) if strict and parseable else None
     verdict = parseable and ring_ok and paren_ok and valence is not False
     if parseable:

@@ -2,10 +2,10 @@
 
 Everything here scores a corpus of (reference, hypothesis) pairs.  BLEU is
 corpus-level (n-gram statistics pooled before the ratio); ROUGE and METEOR
-are computed per pair and averaged in row order, so results never depend on
-iteration order of any hash container.  A corpus counts each pair's n-grams
-of an order once, the first time BLEU or ROUGE-n asks for that order, and
-every later BLEU or ROUGE-n score on it reads the same counts.
+are computed per pair and averaged by :func:`_mean`, so results never depend
+on iteration order of any hash container.  A corpus counts each pair's
+n-grams of an order once, the first time BLEU or ROUGE-n asks for that
+order, and every later BLEU or ROUGE-n score on it reads the same counts.
 
 Tokenization is explicit, never implicit: callers choose one of the three
 modes below and the choice is recorded by the harness in report metadata.
@@ -120,6 +120,19 @@ def _position_masks(tokens: Sequence[str]) -> dict[str, int]:
     return masks
 
 
+def _mean(values: Iterable) -> float:
+    """The mean of ``values``, the one averaging rule of every mean column:
+    summed in the order given from int 0, one ``+=`` per value, then divided
+    by the count.  Ints and bools sum exactly; floats round as a plain loop
+    in row order does.  Never ``sum()`` of floats, which rounds differently
+    from Python 3.12 on.  An order-independent mean (the correctly rounded
+    exact mean) is a change to this function alone."""
+    total = count = 0
+    for count, value in enumerate(values, start=1):
+        total += value
+    return total / count
+
+
 def _require_bleu_order(max_n: int) -> None:
     if max_n < 1:
         raise InputError("max_n must be at least 1")
@@ -195,20 +208,15 @@ def rouge_n(corpus: CorpusPair, n: int) -> float:
         raise EmptyCorpus("ROUGE over an empty corpus is undefined")
     if n < 1:
         raise InputError("n must be at least 1")
-    total = 0.0
-    for overlap, hyp_total, ref_total in corpus._overlaps(n):
-        total += _f1(overlap, hyp_total, ref_total)
-    return total / len(corpus)
+    return _mean(_f1(*row) for row in corpus._overlaps(n))
 
 
 def rouge_l(corpus: CorpusPair) -> float:
     """Mean per-pair ROUGE-L F1 (longest common subsequence)."""
     if len(corpus) == 0:
         raise EmptyCorpus("ROUGE over an empty corpus is undefined")
-    total = 0.0
-    for ref, hyp in zip(corpus.references, corpus.hypotheses):
-        total += _f1(_lcs_length(ref, hyp), len(hyp), len(ref))
-    return total / len(corpus)
+    return _mean(_f1(_lcs_length(ref, hyp), len(hyp), len(ref))
+                 for ref, hyp in zip(corpus.references, corpus.hypotheses))
 
 
 def _chunk_floor(ref: Sequence[str], hyp: Sequence[str], matches: int) -> int:
@@ -367,10 +375,7 @@ def meteor(corpus: CorpusPair) -> float:
     """
     if len(corpus) == 0:
         raise EmptyCorpus("METEOR over an empty corpus is undefined")
-    total = 0.0
-    for ref, hyp in zip(corpus.references, corpus.hypotheses):
-        total += _meteor_pair(ref, hyp)
-    return total / len(corpus)
+    return _mean(map(_meteor_pair, corpus.references, corpus.hypotheses))
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -416,7 +421,5 @@ def exact_match(references: Sequence[str], hypotheses: Sequence[str]) -> float:
             f"{len(references)} references vs {len(hypotheses)} hypotheses")
     if not references:
         raise EmptyCorpus("exact match over an empty corpus is undefined")
-    hits = sum(
-        1 for ref, hyp in zip(references, hypotheses)
-        if ref.strip() == hyp.strip())
-    return hits / len(references)
+    return _mean(ref.strip() == hyp.strip()
+                 for ref, hyp in zip(references, hypotheses))

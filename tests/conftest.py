@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -23,6 +24,25 @@ def fixtures_dir() -> Path:
 def valid_smiles_corpus() -> list[str]:
     lines = (FIXTURES / "valid_smiles.txt").read_text().splitlines()
     return [line.strip() for line in lines if line.strip()]
+
+
+@pytest.fixture
+def no_garbage_after():
+    """Whether ``call()``, run a second time, leaves nothing for the cyclic
+    collector: with the collector off, one collection afterwards finds no
+    unreachable object.  The first run loads modules and caches."""
+    def check(call) -> bool:
+        call()
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            call()
+            return gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+    return check
 
 
 def pytest_runtest_logreport(report):

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -64,6 +65,16 @@ def i2d_preds(fixtures_dir):
 def d2i_preds(fixtures_dir):
     return load_predictions(fixtures_dir / "predictions_d2i_small.jsonl",
                             Task.DRUG_TO_INDICATION)
+
+
+def _paired_embeddings(tmp_path, rows, dim=5):
+    """A seeded Text2Mol file of ``rows`` rows, and each row's two vectors."""
+    rng = random.Random(rows)
+    vectors = [[rng.uniform(-1, 1) for _ in range(2 * dim)] for _ in range(rows)]
+    path = tmp_path / "t2m.txt"
+    path.write_text(f"D={dim}\n" + "".join(
+        " ".join(map(repr, row)) + "\n" for row in vectors))
+    return path, [(row[:dim], row[dim:]) for row in vectors]
 
 
 def _i2d_file(tmp_path, pairs):
@@ -189,6 +200,38 @@ class TestEvalI2d:
         hyps = [r.hypothesis for r in i2d_preds.rows]
         corpus = CorpusPair.from_strings(refs, hyps, TokenMode.CHAR)
         assert report.bleu == pytest.approx(bleu(corpus, max_n=4), abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["predictions_i2d_small.jsonl",
+                                      "predictions_i2d_repeated.jsonl"])
+    def test_mean_columns_are_means_of_row_calls(self, fixtures_dir, tmp_path,
+                                                 name):
+        preds = load_predictions(fixtures_dir / name, Task.INDICATION_TO_DRUG)
+        path, vectors = _paired_embeddings(tmp_path, len(preds))
+        report = eval_i2d(preds, text2mol_embeddings=path)
+        mean = textmetrics._mean
+        pairs = [(row.reference, row.hypothesis) for row in preds.rows]
+        assert report.exact == mean(
+            textmetrics.exact_match([ref], [hyp]) for ref, hyp in pairs)
+        assert report.levenshtein == mean(
+            textmetrics.levenshtein(ref, hyp) for ref, hyp in pairs)
+        assert report.validity == mean(
+            smiles.validate(hyp).verdict for _, hyp in pairs)
+        molecules = [(smiles.validate(ref).molecule, smiles.validate(hyp).molecule)
+                     for ref, hyp in pairs]
+        both = [(ref, hyp) for ref, hyp in molecules
+                if ref is not None and hyp is not None]
+        for column, make in (("maccs_fts", key_fingerprint),
+                             ("rdk_fts", path_fingerprint),
+                             ("morgan_fts", morgan_fingerprint)):
+            assert getattr(report, column) == mean(
+                tanimoto(make(ref), make(hyp)) for ref, hyp in both), column
+        assert report.text2mol == mean(
+            harness._cosine(ref, hyp) for ref, hyp in vectors)
+
+    def test_a_call_leaves_no_garbage(self, i2d_preds, no_garbage_after):
+        # A parse failure kept past its handler would hold, through its
+        # traceback, every frame of the call and every molecule in them.
+        assert no_garbage_after(lambda: eval_i2d(i2d_preds))
 
     def test_identity_subset_scores_one(self, fixtures_dir, tmp_path):
         path = tmp_path / "identity.jsonl"
@@ -579,6 +622,23 @@ class TestEvalD2i:
         assert report.meteor == pytest.approx(meteor(corpus), abs=1e-15)
         assert report.rows == 4
         assert report.text2mol is None
+
+    @pytest.mark.parametrize("name", ["predictions_d2i_small.jsonl",
+                                      "predictions_d2i_long.jsonl"])
+    def test_mean_columns_are_means_of_row_calls(self, fixtures_dir, tmp_path,
+                                                 name):
+        preds = load_predictions(fixtures_dir / name, Task.DRUG_TO_INDICATION)
+        path, vectors = _paired_embeddings(tmp_path, len(preds))
+        report = eval_d2i(preds, text2mol_embeddings=path)
+        mean = textmetrics._mean
+        corpora = [CorpusPair.from_strings([row.reference], [row.hypothesis],
+                                           TokenMode.WORD) for row in preds.rows]
+        assert report.rouge1 == mean(rouge_n(corpus, 1) for corpus in corpora)
+        assert report.rouge2 == mean(rouge_n(corpus, 2) for corpus in corpora)
+        assert report.rouge_l == mean(map(rouge_l, corpora))
+        assert report.meteor == mean(map(meteor, corpora))
+        assert report.text2mol == mean(
+            harness._cosine(ref, hyp) for ref, hyp in vectors)
 
     def test_identity_rows_score_one(self, tmp_path):
         path = tmp_path / "p.jsonl"

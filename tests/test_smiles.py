@@ -241,6 +241,11 @@ class TestValidate:
                 flags.append(report.valence_ok)
             assert report.verdict == all(flags)
 
+    def test_a_parse_failure_leaves_no_garbage(self, no_garbage_after):
+        # The report keeps what it needs of the exception, not the
+        # exception, whose traceback holds the caller's frames.
+        assert no_garbage_after(lambda: validate("C1CC("))
+
 
 class TestStrictValence:
     def test_pentavalent_carbon_rejected(self):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import struct
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -529,3 +530,31 @@ def test_levenshtein_symmetry_and_bounds(a, b):
 @settings(max_examples=100)
 def test_levenshtein_triangle_inequality(a, b, c):
     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+
+class TestMean:
+    """``_mean`` is the averaging rule of every mean column."""
+
+    # Signed zeros, subnormals and values whose sums overflow, among others.
+    floats = st.floats(allow_nan=False) | st.sampled_from(
+        (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+         -1e308, 1.7976931348623157e308))
+
+    @staticmethod
+    def _loop_mean(xs):
+        total = 0.0
+        for x in xs:
+            total += x
+        return total / len(xs)
+
+    @given(st.lists(floats, min_size=1, max_size=50))
+    @settings(max_examples=500)
+    def test_floats_round_as_a_plain_loop(self, xs):
+        # Bit for bit, sign of zero, infinity and NaN from inf - inf included.
+        assert struct.pack("<d", textmetrics._mean(xs)) \
+            == struct.pack("<d", self._loop_mean(xs))
+
+    @given(st.lists(st.integers() | st.booleans(), min_size=1, max_size=50))
+    @settings(max_examples=300)
+    def test_ints_and_bools_sum_exactly(self, xs):
+        assert textmetrics._mean(xs) == sum(xs) / len(xs)
