@@ -8,7 +8,9 @@ out of memory, 2 for internal numeric failures.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
+import io
 import sys
 from collections.abc import Iterator
 
@@ -290,6 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Output is UTF-8 whatever the locale, as input is.  A stream without
+    # bytes underneath (a StringIO, say) is written as text.
+    stdout = sys.stdout
+    if (isinstance(stdout, io.TextIOWrapper)
+            and codecs.lookup(stdout.encoding).name != "utf-8"):
+        stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

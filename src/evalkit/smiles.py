@@ -335,6 +335,9 @@ def _default_order(a: Atom, b: Atom) -> BondOrder:
     return BondOrder.AROMATIC if a.aromatic and b.aromatic else BondOrder.SINGLE
 
 
+_ORGANIC_KINDS = frozenset({"single_char_atom", "aromatic_atom", "two_char_element"})
+
+
 @cache
 def _organic_atom(token: str) -> Atom:
     """The atom a bare organic-subset token stands for; lowercase spellings
@@ -342,130 +345,14 @@ def _organic_atom(token: str) -> Atom:
     return Atom(element=token.capitalize(), aromatic=token.islower())
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.atoms: list[Atom] = []
-        self.bonds: list[Bond] = []
-        self.bond_pairs: set[tuple[int, int]] = set()
-        self.prev: int | None = None
-        self.pending: BondOrder | None = None
-        self.pending_offset = 0
-        # each entry: (attachment atom, atom count at open, offset of '(')
-        self.branch_stack: list[tuple[int, int, int]] = []
-        # ring number -> (atom index, bond order written at open, offset)
-        self.open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
-
-    # -- helpers -------------------------------------------------------------
-
-    def _take_pending(self) -> BondOrder | None:
-        order = self.pending
-        self.pending = None
-        return order
-
-    def _add_bond(self, a: int, b: int, order: BondOrder, offset: int) -> None:
-        pair = (a, b) if a < b else (b, a)
-        if pair in self.bond_pairs:
-            raise DuplicateBond(
-                f"second bond between atoms {pair[0]} and {pair[1]}", offset)
-        self.bond_pairs.add(pair)
-        self.bonds.append(Bond(a, b, order))
-
-    def _add_atom(self, atom: Atom, offset: int) -> None:
-        idx = len(self.atoms)
-        self.atoms.append(atom)
-        if self.prev is not None:
-            order = self._take_pending() or _default_order(self.atoms[self.prev], atom)
-            self._add_bond(self.prev, idx, order, offset)
-        self.prev = idx
-
-    def _ring_closure(self, number: int, offset: int) -> None:
-        if self.prev is None:
-            raise LeadingBond("ring closure before any atom", offset)
-        order = self._take_pending()
-        if number not in self.open_rings:
-            self.open_rings[number] = (self.prev, order, offset)
-            return
-        other, other_order, _ = self.open_rings.pop(number)
-        if other == self.prev:
-            raise UnmatchedRingClosure(
-                f"ring bond {number} opened and closed on the same atom", offset)
-        if order is not None and other_order is not None and order is not other_order:
-            raise RingBondConflict(
-                f"ring bond {number} written as {other_order.name.lower()} on one "
-                f"end and {order.name.lower()} on the other", offset)
-        resolved = (order or other_order
-                    or _default_order(self.atoms[other], self.atoms[self.prev]))
-        self._add_bond(other, self.prev, resolved, offset)
-
-    # -- main loop -------------------------------------------------------------
-
-    def parse(self) -> Molecule:
-        text = self.text
-        if not text:
-            raise SmilesParseError("empty SMILES string")
-        for match in TOKEN_RE.finditer(text):
-            kind = match.lastgroup
-            token = match.group()
-            offset = match.start()
-
-            if (kind == "single_char_atom" or kind == "aromatic_atom"
-                    or kind == "two_char_element"):
-                self._add_atom(_organic_atom(token), offset)
-            elif kind == "bracket_atom" or token == "[":
-                # A '[' that no ']' follows is lexically illegal; reading it
-                # as a bracket atom reports what is wrong inside it first.
-                self._add_atom(_bracket_atom(text, offset), offset)
-            elif kind == "ring_digit":
-                self._ring_closure(int(token), offset)
-            elif kind == "percent_ring":
-                self._ring_closure(int(token[1:]), offset)
-            elif kind == "bond":
-                if self.prev is None:
-                    raise LeadingBond(f"bond {token!r} before any atom", offset)
-                if self.pending is not None:
-                    raise DanglingBond(
-                        "bond symbol followed by another bond symbol", offset)
-                self.pending = _BOND_SYMBOLS[token]
-                self.pending_offset = offset
-            elif kind == "branch_open":
-                if self.prev is None:
-                    raise UnbalancedParenthesis("branch opened before any atom", offset)
-                if self.pending is not None:
-                    raise DanglingBond("bond symbol before a branch opening", offset)
-                self.branch_stack.append((self.prev, len(self.atoms), offset))
-            elif kind == "branch_close":
-                if self.pending is not None:
-                    raise DanglingBond("bond symbol at the end of a branch", offset)
-                if not self.branch_stack:
-                    raise UnbalancedParenthesis("')' without matching '('", offset)
-                attach, count_at_open, _ = self.branch_stack.pop()
-                if len(self.atoms) == count_at_open:
-                    raise EmptyBranch("branch contains no atoms", offset)
-                self.prev = attach
-            elif kind == "dot":
-                if self.pending is not None:
-                    raise DanglingBond("bond symbol before a dot separator", offset)
-                if self.prev is None:
-                    raise EmptyComponent("dot separator with no atoms before it", offset)
-                self.prev = None
-            elif token == "%":
-                raise UnknownSymbol("'%' ring closure needs two digits", offset)
-            else:
-                raise UnknownSymbol(f"unexpected character {token!r}", offset)
-
-        if self.pending is not None:
-            raise DanglingBond(
-                "bond symbol at end of input", self.pending_offset)
-        if self.branch_stack:
-            raise UnbalancedParenthesis(
-                "'(' without matching ')'", self.branch_stack[-1][2])
-        if self.open_rings:
-            number, (_, _, offset) = min(self.open_rings.items(), key=lambda kv: kv[1][2])
-            raise UnmatchedRingClosure(f"ring bond {number} never closed", offset)
-        if self.prev is None and self.atoms:
-            raise EmptyComponent("dot separator at end of input", len(text) - 1)
-        return Molecule(tuple(self.atoms), tuple(self.bonds), text)
+def _add_bond(bonds: list[Bond], pairs: set[tuple[int, int]], a: int, b: int,
+              order: BondOrder, offset: int) -> None:
+    """Append the bond ``a``-``b`` unless the two atoms already share one."""
+    pair = (a, b) if a < b else (b, a)
+    if pair in pairs:
+        raise DuplicateBond(f"second bond between atoms {pair[0]} and {pair[1]}", offset)
+    pairs.add(pair)
+    bonds.append(Bond(a, b, order))
 
 
 def parse_smiles(text: str) -> Molecule:
@@ -474,7 +361,94 @@ def parse_smiles(text: str) -> Molecule:
     Raises a :class:`~evalkit.errors.SmilesParseError` subclass naming the
     first grammar violation encountered, with its character offset.
     """
-    return _Parser(text).parse()
+    if not text:
+        raise SmilesParseError("empty SMILES string")
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    pairs: set[tuple[int, int]] = set()
+    prev: int | None = None  # the atom the next bond starts from
+    pending: tuple[BondOrder, int] | None = None  # a bond symbol and its offset
+    # each entry: (attachment atom, atom count at open, offset of '(')
+    branches: list[tuple[int, int, int]] = []
+    # ring number -> (atom index, bond order written at open, offset)
+    open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
+    for match in TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        token = match.group()
+        offset = match.start()
+        if kind in _ORGANIC_KINDS or token[0] == "[":
+            # A '[' that no ']' follows is lexically illegal; reading it
+            # as a bracket atom reports what is wrong inside it first.
+            atom = (_bracket_atom(text, offset) if token[0] == "["
+                    else _organic_atom(token))
+            atoms.append(atom)
+            if prev is not None:
+                order = pending[0] if pending else _default_order(atoms[prev], atom)
+                pending = None
+                _add_bond(bonds, pairs, prev, len(atoms) - 1, order, offset)
+            prev = len(atoms) - 1
+        elif kind == "ring_digit" or kind == "percent_ring":
+            if prev is None:
+                raise LeadingBond("ring closure before any atom", offset)
+            number = int(token.lstrip("%"))
+            order = pending[0] if pending else None
+            pending = None
+            if number not in open_rings:
+                open_rings[number] = (prev, order, offset)
+                continue
+            other, other_order, _ = open_rings.pop(number)
+            if other == prev:
+                raise UnmatchedRingClosure(
+                    f"ring bond {number} opened and closed on the same atom", offset)
+            if order is not None and other_order is not None and order is not other_order:
+                raise RingBondConflict(
+                    f"ring bond {number} written as {other_order.name.lower()} on one "
+                    f"end and {order.name.lower()} on the other", offset)
+            order = order or other_order or _default_order(atoms[other], atoms[prev])
+            _add_bond(bonds, pairs, other, prev, order, offset)
+        elif kind == "bond":
+            if prev is None:
+                raise LeadingBond(f"bond {token!r} before any atom", offset)
+            if pending is not None:
+                raise DanglingBond("bond symbol followed by another bond symbol", offset)
+            pending = (_BOND_SYMBOLS[token], offset)
+        elif kind == "branch_open":
+            if prev is None:
+                raise UnbalancedParenthesis("branch opened before any atom", offset)
+            if pending is not None:
+                raise DanglingBond("bond symbol before a branch opening", offset)
+            branches.append((prev, len(atoms), offset))
+        elif kind == "branch_close":
+            if pending is not None:
+                raise DanglingBond("bond symbol at the end of a branch", offset)
+            if not branches:
+                raise UnbalancedParenthesis("')' without matching '('", offset)
+            attach, count_at_open, _ = branches.pop()
+            if len(atoms) == count_at_open:
+                raise EmptyBranch("branch contains no atoms", offset)
+            prev = attach
+        elif kind == "dot":
+            if pending is not None:
+                raise DanglingBond("bond symbol before a dot separator", offset)
+            if prev is None:
+                raise EmptyComponent("dot separator with no atoms before it", offset)
+            prev = None
+        elif token == "%":
+            raise UnknownSymbol("'%' ring closure needs two digits", offset)
+        else:
+            raise UnknownSymbol(f"unexpected character {token!r}", offset)
+
+    if pending is not None:
+        raise DanglingBond("bond symbol at end of input", pending[1])
+    if branches:
+        raise UnbalancedParenthesis("'(' without matching ')'", branches[-1][2])
+    if open_rings:
+        # Rings go in as they open, so the first left open comes first.
+        number, (_, _, offset) = next(iter(open_rings.items()))
+        raise UnmatchedRingClosure(f"ring bond {number} never closed", offset)
+    if prev is None and atoms:
+        raise EmptyComponent("dot separator at end of input", len(text) - 1)
+    return Molecule(tuple(atoms), tuple(bonds), text)
 
 
 def strict_valence_ok(mol: Molecule) -> bool:
@@ -522,7 +496,8 @@ def validate(text: str, strict: bool = False) -> ValidityReport:
             paren_ok = not isinstance(exc, (UnbalancedParenthesis, EmptyBranch))
     parseable = mol is not None
     valence = strict_valence_ok(mol) if strict and parseable else None
-    verdict = parseable and ring_ok and paren_ok and valence is not False
+    # The ring and parenthesis flags are False only when nothing parsed.
+    verdict = parseable and valence is not False
     if parseable:
         detail = "" if verdict else "valence limit exceeded"
     return ValidityReport(

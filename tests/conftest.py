@@ -45,9 +45,12 @@ def no_garbage_after():
     return check
 
 
+ACCEPTANCE_FILE = "tests/test_acceptance.py"
+
+
 def pytest_runtest_logreport(report):
     """Print one PASS/FAIL line per acceptance criterion as it finishes."""
-    if report.when != "call" or "test_acceptance" not in report.nodeid:
+    if report.when != "call" or report.nodeid.split("::")[0] != ACCEPTANCE_FILE:
         return
     name = report.nodeid.split("::")[-1]
     status = "PASS" if report.passed else "FAIL"

@@ -9,7 +9,9 @@ per value instead of NumPy's text reader, path readings as entry tuples
 hashed byte by byte instead of base-K integers hashed through step
 tables, a chunk search that walks every node instead of one that keeps
 finished subtrees per state, n-gram ``Counter``s built per metric instead
-of once per pair, one bond deleted at a time instead of low-links.
+of once per pair, one bond deleted at a time instead of low-links, a
+SMILES parser that keeps its state on an object instead of in local
+variables.
 Tests compare the two routes; the oracles must stay dumb and obvious
 rather than fast.
 """
@@ -22,10 +24,34 @@ from collections import Counter
 from fractions import Fraction
 
 from evalkit.elements import AROMATIC_BRACKET, ELEMENTS
-from evalkit.errors import InputError, UnknownSymbol, UnterminatedBracket
+from evalkit.errors import (
+    DanglingBond,
+    DuplicateBond,
+    EmptyBranch,
+    EmptyComponent,
+    InputError,
+    LeadingBond,
+    RingBondConflict,
+    SmilesParseError,
+    UnbalancedParenthesis,
+    UnknownSymbol,
+    UnmatchedRingClosure,
+    UnterminatedBracket,
+)
 from evalkit.fingerprints import FNV_OFFSET, FNV_PRIME, Fingerprint
-from evalkit.smiles import Atom, Chirality
+from evalkit.smiles import (
+    _BOND_SYMBOLS,
+    Atom,
+    Bond,
+    BondOrder,
+    Chirality,
+    Molecule,
+    _bracket_atom,
+    _default_order,
+    _organic_atom,
+)
 from evalkit.textmetrics import _chunk_floor
+from evalkit.tokenizer import TOKEN_RE
 
 
 def levenshtein_full_table(a: str, b: str) -> int:
@@ -521,6 +547,141 @@ def bracket_atom_by_cursor(text: str, start: int) -> Atom:
         chirality=chirality,
         in_bracket=True,
     )
+
+
+# The parser as it was before ``smiles.parse_smiles`` kept its state in
+# local variables: one object per parse, nine attributes and four helper
+# methods.
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.atoms: list[Atom] = []
+        self.bonds: list[Bond] = []
+        self.bond_pairs: set[tuple[int, int]] = set()
+        self.prev: int | None = None
+        self.pending: BondOrder | None = None
+        self.pending_offset = 0
+        # each entry: (attachment atom, atom count at open, offset of '(')
+        self.branch_stack: list[tuple[int, int, int]] = []
+        # ring number -> (atom index, bond order written at open, offset)
+        self.open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
+
+    # -- helpers -------------------------------------------------------------
+
+    def _take_pending(self) -> BondOrder | None:
+        order = self.pending
+        self.pending = None
+        return order
+
+    def _add_bond(self, a: int, b: int, order: BondOrder, offset: int) -> None:
+        pair = (a, b) if a < b else (b, a)
+        if pair in self.bond_pairs:
+            raise DuplicateBond(
+                f"second bond between atoms {pair[0]} and {pair[1]}", offset)
+        self.bond_pairs.add(pair)
+        self.bonds.append(Bond(a, b, order))
+
+    def _add_atom(self, atom: Atom, offset: int) -> None:
+        idx = len(self.atoms)
+        self.atoms.append(atom)
+        if self.prev is not None:
+            order = self._take_pending() or _default_order(self.atoms[self.prev], atom)
+            self._add_bond(self.prev, idx, order, offset)
+        self.prev = idx
+
+    def _ring_closure(self, number: int, offset: int) -> None:
+        if self.prev is None:
+            raise LeadingBond("ring closure before any atom", offset)
+        order = self._take_pending()
+        if number not in self.open_rings:
+            self.open_rings[number] = (self.prev, order, offset)
+            return
+        other, other_order, _ = self.open_rings.pop(number)
+        if other == self.prev:
+            raise UnmatchedRingClosure(
+                f"ring bond {number} opened and closed on the same atom", offset)
+        if order is not None and other_order is not None and order is not other_order:
+            raise RingBondConflict(
+                f"ring bond {number} written as {other_order.name.lower()} on one "
+                f"end and {order.name.lower()} on the other", offset)
+        resolved = (order or other_order
+                    or _default_order(self.atoms[other], self.atoms[self.prev]))
+        self._add_bond(other, self.prev, resolved, offset)
+
+    # -- main loop -------------------------------------------------------------
+
+    def parse(self) -> Molecule:
+        text = self.text
+        if not text:
+            raise SmilesParseError("empty SMILES string")
+        for match in TOKEN_RE.finditer(text):
+            kind = match.lastgroup
+            token = match.group()
+            offset = match.start()
+
+            if (kind == "single_char_atom" or kind == "aromatic_atom"
+                    or kind == "two_char_element"):
+                self._add_atom(_organic_atom(token), offset)
+            elif kind == "bracket_atom" or token == "[":
+                # A '[' that no ']' follows is lexically illegal; reading it
+                # as a bracket atom reports what is wrong inside it first.
+                self._add_atom(_bracket_atom(text, offset), offset)
+            elif kind == "ring_digit":
+                self._ring_closure(int(token), offset)
+            elif kind == "percent_ring":
+                self._ring_closure(int(token[1:]), offset)
+            elif kind == "bond":
+                if self.prev is None:
+                    raise LeadingBond(f"bond {token!r} before any atom", offset)
+                if self.pending is not None:
+                    raise DanglingBond(
+                        "bond symbol followed by another bond symbol", offset)
+                self.pending = _BOND_SYMBOLS[token]
+                self.pending_offset = offset
+            elif kind == "branch_open":
+                if self.prev is None:
+                    raise UnbalancedParenthesis("branch opened before any atom", offset)
+                if self.pending is not None:
+                    raise DanglingBond("bond symbol before a branch opening", offset)
+                self.branch_stack.append((self.prev, len(self.atoms), offset))
+            elif kind == "branch_close":
+                if self.pending is not None:
+                    raise DanglingBond("bond symbol at the end of a branch", offset)
+                if not self.branch_stack:
+                    raise UnbalancedParenthesis("')' without matching '('", offset)
+                attach, count_at_open, _ = self.branch_stack.pop()
+                if len(self.atoms) == count_at_open:
+                    raise EmptyBranch("branch contains no atoms", offset)
+                self.prev = attach
+            elif kind == "dot":
+                if self.pending is not None:
+                    raise DanglingBond("bond symbol before a dot separator", offset)
+                if self.prev is None:
+                    raise EmptyComponent("dot separator with no atoms before it", offset)
+                self.prev = None
+            elif token == "%":
+                raise UnknownSymbol("'%' ring closure needs two digits", offset)
+            else:
+                raise UnknownSymbol(f"unexpected character {token!r}", offset)
+
+        if self.pending is not None:
+            raise DanglingBond(
+                "bond symbol at end of input", self.pending_offset)
+        if self.branch_stack:
+            raise UnbalancedParenthesis(
+                "'(' without matching ')'", self.branch_stack[-1][2])
+        if self.open_rings:
+            number, (_, _, offset) = min(self.open_rings.items(), key=lambda kv: kv[1][2])
+            raise UnmatchedRingClosure(f"ring bond {number} never closed", offset)
+        if self.prev is None and self.atoms:
+            raise EmptyComponent("dot separator at end of input", len(text) - 1)
+        return Molecule(tuple(self.atoms), tuple(self.bonds), text)
+
+
+
+def parse_smiles_by_state_class(text: str) -> Molecule:
+    """Parse ``text`` with :class:`_Parser`, raising what it raises."""
+    return _Parser(text).parse()
 
 
 def vector_rows_by_line(path, lines: list[str], expected: int) -> list[list[float]]:

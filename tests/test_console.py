@@ -122,6 +122,25 @@ def test_undecodable_stdin_exits_one_in_utf8_mode():
         assert done.returncode == 1, done.stderr
 
 
+# name -> (argv, standard input, expected standard output)
+NON_LATIN1_OUTPUT = {
+    # The table's absent cells are U+2014.
+    "eval-i2d-table": (["eval-i2d", FIXTURES / "predictions_i2d_small.jsonl"], b"",
+                       (GOLDEN / "i2d_small.table").read_bytes()),
+    "validate-detail": (["validate"], "C\u20ac\n".encode(),
+                        "FAIL unexpected character '\u20ac' (at offset 1)\n"
+                        "validity 0.0000 (0/1)\n".encode()),
+}
+
+
+@pytest.mark.parametrize("name", NON_LATIN1_OUTPUT)
+def test_output_is_utf8_whatever_the_locale(name):
+    argv, stdin, expected = NON_LATIN1_OUTPUT[name]
+    for done in evalkit_runs(*argv, stdin=stdin, env={"PYTHONIOENCODING": "latin-1"}):
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
+
+
 def test_u2028_inside_a_line_does_not_end_it():
     """One line, and it fails."""
     for done in evalkit_runs("validate", stdin="CC\u2028CC\n".encode()):

@@ -2,8 +2,8 @@
 
 Each test changes a prediction set in a known way (shuffles it, repeats
 it, swaps its sides, adds a row, splits it, or copies each reference into
-its hypothesis) and checks that the report changes as it must, or not at
-all.  The rows are random ``genmol`` molecules, written from another root,
+its hypothesis), or the process that scores it (one CPU or two, the hash
+seed), and checks that the report changes as it must, or not at all.  The rows are random ``genmol`` molecules, written from another root,
 paired with another molecule, broken or left empty, plus the fixture
 files.  Only relations that hold bit for bit today are asserted: float
 means are summed in row order, so a shuffle may move their last digit,
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import evalkit
 import genmol
+from evalkit import harness
 from evalkit.harness import (
     PredictionFile,
     PredictionRow,
@@ -30,6 +31,7 @@ from evalkit.harness import (
     eval_d2i,
     eval_i2d,
     load_predictions,
+    render_report,
 )
 from evalkit.textmetrics import CorpusPair, TokenMode, meteor, tokenize_text
 
@@ -143,6 +145,18 @@ def test_identity_rows_score_perfectly(generated):
         assert getattr(report, column) == 1.0, column
     # Every fixture reference has 4 characters or more.
     assert report.bleu == 1.0
+
+
+@given(row_sets)
+@settings(max_examples=25, deadline=None)
+def test_one_cpu_and_two_give_the_same_report(generated):
+    rows = predictions(FIXTURE_PAIRS + generated)
+    reports = set()
+    for cpus in (1, 2):  # two forks a helper for the fingerprint sweep
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_cpu_count", lambda: cpus)
+            reports.add(render_report(eval_i2d(rows), "json"))
+    assert len(reports) == 1
 
 
 sentences = st.lists(

@@ -549,3 +549,75 @@ class TestBracketAtomAgainstCursor:
                  for _ in range(2000)]
         assert sum("[" in text for text in texts) > 1000
         self.assert_same_as_cursor(texts, monkeypatch)
+
+
+# The alphabet of the edits: SMILES characters, two-letter symbols, and
+# characters that no SMILES holds.
+_EDIT_UNITS = tuple("CcNnOoSsPpBbFIH[]()=#$:/\\.%0123456789@+-") + (
+    "Cl", "Br", "*", "X", "€", "²", " ")
+
+
+def _edited(texts: list[str], seed: int, count: int) -> list[str]:
+    """``count`` copies of strings drawn from ``texts``, each given one to
+    three random insertions, deletions or replacements."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        chars = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(chars) + 1)
+            edit = rng.randrange(3)
+            if edit == 0 or at == len(chars):
+                chars.insert(at, rng.choice(_EDIT_UNITS))
+            elif edit == 1:
+                del chars[at]
+            else:
+                chars[at] = rng.choice(_EDIT_UNITS)
+        out.append("".join(chars))
+    return out
+
+
+class TestParseAgainstStateClass:
+    """``parse_smiles`` reads every input exactly as the parser class it
+    replaced (``oracles.parse_smiles_by_state_class``) did: an equal
+    molecule (atoms, bonds in order, source), or the same error class,
+    message and offset."""
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except SmilesParseError as exc:
+            return (type(exc), str(exc), exc.offset)
+
+    def assert_same_as_class(self, texts):
+        differences = [
+            (text, new, old) for text in texts
+            if (new := self.outcome(parse_smiles, text))
+            != (old := self.outcome(oracles.parse_smiles_by_state_class, text))]
+        assert not differences, differences[:5]
+
+    @pytest.fixture(scope="class")
+    def fixture_lines(self, fixtures_dir):
+        return [line for name in ("smiles_grammar.txt", "valid_smiles.txt")
+                for line in (fixtures_dir / name).read_text().splitlines()]
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        rng = random.Random(2727)
+        return [genmol.write_smiles(genmol.random_molecule(rng), rng=rng)[0]
+                for _ in range(1000)]
+
+    def test_fixture_lines(self, fixture_lines):
+        self.assert_same_as_class(fixture_lines)
+
+    def test_generated_molecules(self, generated):
+        self.assert_same_as_class(generated)
+
+    def test_random_edits(self, fixture_lines, generated):
+        texts = _edited(fixture_lines + generated, 27, 20_000)
+        failures = sum(isinstance(self.outcome(parse_smiles, text), tuple)
+                       for text in texts)
+        # Both outcomes are common, so both paths are compared.
+        assert 0.2 < failures / len(texts) < 0.9
+        self.assert_same_as_class(texts)
