@@ -210,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and kept: parsing leaves
     it as it was, and rebuilding it on each in-process ``main`` call
     churns the heap."""
-    from .dataset import LAYOUTS
-
     parser = argparse.ArgumentParser(
         prog="evalkit",
         description="Evaluate drug/indication translation predictions.",
@@ -220,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="read a dataset file, report drop counts")
     p.add_argument("path")
-    p.add_argument("--layout", choices=LAYOUTS, required=True)
+    p.add_argument("--layout", choices=("generic_jsonl", "drugbank_csv", "chembl_tsv"),
+                   required=True)
     p.add_argument("--out", help="write kept records as generic JSONL")
     p.set_defaults(func=_cmd_ingest)
 
@@ -292,12 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Output is UTF-8 whatever the locale, as input is.  A stream without
-    # bytes underneath (a StringIO, say) is written as text.
-    stdout = sys.stdout
-    if (isinstance(stdout, io.TextIOWrapper)
-            and codecs.lookup(stdout.encoding).name != "utf-8"):
-        stdout.reconfigure(encoding="utf-8")
+    # Output and errors are UTF-8 whatever the locale, as input is; each
+    # stream keeps its handler for what UTF-8 cannot write (a lone
+    # surrogate).  A stream without bytes underneath (a StringIO, say) is
+    # written as text.
+    for stream in (sys.stdout, sys.stderr):
+        if (isinstance(stream, io.TextIOWrapper)
+                and codecs.lookup(stream.encoding).name != "utf-8"):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

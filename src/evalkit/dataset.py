@@ -20,7 +20,7 @@ indices as the test side, halves rounding up.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -30,6 +30,7 @@ from .errors import (
     EmptySet,
     InputError,
     SchemaMismatch,
+    read_jsonl_objects,
     utf8_lines,
 )
 
@@ -116,59 +117,6 @@ def _digest(path: Path) -> str:
     return digest.hexdigest()[:16]
 
 
-def _clean_row(raw_id: str, smiles: str, indication: str, source: str,
-               dropped: list[str], context: str) -> DrugRecord | None:
-    smiles = smiles.strip()
-    indication = indication.strip()
-    if not smiles or not indication:
-        missing = "smiles" if not smiles else "indication"
-        dropped.append(f"{context}: empty {missing}")
-        return None
-    return DrugRecord(id=raw_id.strip(), smiles=smiles,
-                      indication=indication, source=source)
-
-
-def read_jsonl_objects(path: Path,
-                       text_keys: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
-
-    Each line must be a JSON object with a string or numeric ``id``, yielded
-    as a string, and a string under every key in ``text_keys``.  Any other
-    line raises :class:`SchemaMismatch` naming the file and line.
-    """
-    for lineno, line in enumerate(utf8_lines(path), start=1):
-        if not line.strip():
-            continue
-        where = f"{path} line {lineno}"
-        # ValueError: JSONDecodeError, or an int literal past int()'s digit limit.
-        try:
-            payload = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaMismatch(f"{where}: invalid JSON ({exc})") from exc
-        if not isinstance(payload, dict):
-            raise SchemaMismatch(f"{where}: not a JSON object")
-        if not isinstance(payload.get("id"), (str, int, float)):
-            raise SchemaMismatch(f"{where}: 'id' missing or not a string or number")
-        bad = [k for k in text_keys if not isinstance(payload.get(k), str)]
-        if bad:
-            raise SchemaMismatch(f"{where}: keys {bad} missing or not strings")
-        payload["id"] = str(payload["id"])
-        yield lineno, payload
-
-
-def _ingest_generic_jsonl(path: Path) -> tuple[list[DrugRecord], list[str]]:
-    records: list[DrugRecord] = []
-    dropped: list[str] = []
-    for lineno, payload in read_jsonl_objects(path, ("smiles", "indication")):
-        source = payload.get("source")
-        record = _clean_row(payload["id"], payload["smiles"], payload["indication"],
-                            source if source in _SOURCES else "other",
-                            dropped, f"line {lineno}")
-        if record:
-            records.append(record)
-    return records, dropped
-
-
 def _read_table_rows(path: Path, header: list[str],
                      delimiter: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, row)`` for each non-empty data row of a
@@ -194,38 +142,26 @@ def _read_table_rows(path: Path, header: list[str],
         raise SchemaMismatch(f"{path} line {reader.line_num}: {exc}") from exc
 
 
-def _ingest_drugbank_csv(path: Path) -> tuple[list[DrugRecord], list[str]]:
-    records: list[DrugRecord] = []
-    dropped: list[str] = []
-    header = ["id", "name", "smiles", "indication"]
-    for lineno, row in _read_table_rows(path, header, ","):
-        record = _clean_row(row[0], row[2], row[3], "drugbank",
-                            dropped, f"line {lineno}")
-        if record:
-            records.append(record)
-    return records, dropped
-
-
-def _ingest_chembl_tsv(path: Path) -> tuple[list[DrugRecord], list[str]]:
-    dropped: list[str] = []
-    merged: dict[str, tuple[str, list[str]]] = {}
-    header = ["chembl_id", "canonical_smiles", "mesh_heading"]
-    for lineno, row in _read_table_rows(path, header, "\t"):
-        raw_id, smiles, heading = (f.strip() for f in row)
-        if not smiles or not heading:
-            missing = "canonical_smiles" if not smiles else "mesh_heading"
-            dropped.append(f"line {lineno}: empty {missing}")
-            continue
-        if raw_id in merged:
-            merged[raw_id][1].append(heading)
-        else:
-            merged[raw_id] = (smiles, [heading])
-    records = [
-        DrugRecord(id=raw_id, smiles=smiles, indication="; ".join(headings),
-                   source="chembl")
-        for raw_id, (smiles, headings) in merged.items()
-    ]
-    return records, dropped
+def _layout_rows(path: Path, layout: str) -> Iterator[tuple[int, str, str, str, str]]:
+    """Yield ``(line number, id, smiles, indication, source)`` for each
+    record line of ``path`` in ``layout``, the fields as the file holds
+    them.  An unknown layout raises :class:`InputError` before the file
+    is opened."""
+    if layout == "generic_jsonl":
+        for lineno, payload in read_jsonl_objects(path, ("smiles", "indication")):
+            source = payload.get("source")
+            yield (lineno, payload["id"], payload["smiles"], payload["indication"],
+                   source if source in _SOURCES else "other")
+    elif layout == "drugbank_csv":
+        header = ["id", "name", "smiles", "indication"]
+        for lineno, row in _read_table_rows(path, header, ","):
+            yield lineno, row[0], row[2], row[3], "drugbank"
+    elif layout == "chembl_tsv":
+        header = ["chembl_id", "canonical_smiles", "mesh_heading"]
+        for lineno, row in _read_table_rows(path, header, "\t"):
+            yield lineno, row[0], row[1], row[2], "chembl"
+    else:
+        raise InputError(f"unknown layout {layout!r}; choose from {LAYOUTS}")
 
 
 def ingest(path: str | Path, layout: str) -> tuple[PairSet, IngestReport]:
@@ -237,14 +173,26 @@ def ingest(path: str | Path, layout: str) -> tuple[PairSet, IngestReport]:
     repeated ids are the documented multi-indication representation.
     """
     path = Path(path)
-    if layout == "generic_jsonl":
-        records, dropped = _ingest_generic_jsonl(path)
-    elif layout == "drugbank_csv":
-        records, dropped = _ingest_drugbank_csv(path)
-    elif layout == "chembl_tsv":
-        records, dropped = _ingest_chembl_tsv(path)
-    else:
-        raise InputError(f"unknown layout {layout!r}; choose from {LAYOUTS}")
+    # A dropped row's message names the empty field as the layout does.
+    names = (("canonical_smiles", "mesh_heading") if layout == "chembl_tsv"
+             else ("smiles", "indication"))
+    records: list[DrugRecord] = []
+    dropped: list[str] = []
+    for lineno, raw_id, smiles, indication, source in _layout_rows(path, layout):
+        smiles, indication = smiles.strip(), indication.strip()
+        if smiles and indication:
+            records.append(DrugRecord(raw_id.strip(), smiles, indication, source))
+        else:
+            missing = names[0] if not smiles else names[1]
+            dropped.append(f"line {lineno}: empty {missing}")
+    if layout == "chembl_tsv":
+        # One record per id, in first-occurrence order: its first SMILES,
+        # and its indications joined.
+        merged: dict[str, list[DrugRecord]] = {}
+        for record in records:
+            merged.setdefault(record.id, []).append(record)
+        records = [replace(rows[0], indication="; ".join(r.indication for r in rows))
+                   for rows in merged.values()]
     pairs = PairSet(
         records=tuple(records),
         provenance=f"{layout}:{path.name}:sha256:{_digest(path)}",

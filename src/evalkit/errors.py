@@ -9,12 +9,15 @@ and the latter to exit code 2.
 Every user text file, embedding files included, is read through
 :func:`utf8_lines`, which splits it into lines as ``open()`` does, a line
 at a time, and raises :class:`UndecodableFile` naming the file and the
-position of a byte that is not UTF-8.
+position of a byte that is not UTF-8.  A JSONL file (a dataset or a
+prediction file) is read through :func:`read_jsonl_objects`, which raises
+:class:`SchemaMismatch` naming the line of any object it cannot use.
 """
 
 from __future__ import annotations
 
 import io
+import json
 from collections.abc import Iterator
 from pathlib import Path
 from typing import BinaryIO
@@ -218,3 +221,31 @@ def utf8_lines(path: str | Path, newline: str | None = None,
             raise _not_utf8(path, exc, offset) from exc
         yield from io.StringIO(text, newline=newline)
         offset += len(data)
+
+
+def read_jsonl_objects(path: Path,
+                       text_keys: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
+
+    Each line must be a JSON object with a string or numeric ``id``, yielded
+    as a string, and a string under every key in ``text_keys``.  Any other
+    line raises :class:`SchemaMismatch` naming the file and line.
+    """
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        if not line.strip():
+            continue
+        where = f"{path} line {lineno}"
+        # ValueError: JSONDecodeError, or an int literal past int()'s digit limit.
+        try:
+            payload = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaMismatch(f"{where}: invalid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise SchemaMismatch(f"{where}: not a JSON object")
+        if not isinstance(payload.get("id"), (str, int, float)):
+            raise SchemaMismatch(f"{where}: 'id' missing or not a string or number")
+        bad = [k for k in text_keys if not isinstance(payload.get(k), str)]
+        if bad:
+            raise SchemaMismatch(f"{where}: keys {bad} missing or not strings")
+        payload["id"] = str(payload["id"])
+        yield lineno, payload

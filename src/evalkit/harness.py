@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .dataset import read_jsonl_objects
 from .errors import (
     DuplicateId,
     EmbeddingRowMismatch,
@@ -40,6 +39,7 @@ from .errors import (
     NonFiniteInput,
     SchemaMismatch,
     TaskMismatch,
+    read_jsonl_objects,
 )
 from .textmetrics import (
     BLEU_EPSILON,

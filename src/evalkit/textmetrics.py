@@ -140,13 +140,14 @@ def _require_bleu_order(max_n: int) -> None:
         raise InputError(f"max_n must be at most {_MAX_BLEU_ORDER}, got {max_n}")
 
 
-def bleu(corpus: CorpusPair, max_n: int = 4, epsilon: float = BLEU_EPSILON) -> float:
+def bleu(corpus: CorpusPair, max_n: int = 4) -> float:
     """Corpus BLEU with uniform n-gram weights and brevity penalty.
 
     Clipped n-gram matches and totals are pooled over the whole corpus
-    before forming precisions.  A zero numerator is replaced by ``epsilon``
-    (additive smoothing on the numerator only); a zero denominator, which
-    occurs when every hypothesis is shorter than n, is floored at one.
+    before forming precisions.  A zero numerator is replaced by the
+    constant ``BLEU_EPSILON`` (additive smoothing on the numerator only;
+    reports print it); a zero denominator, which occurs when every
+    hypothesis is shorter than n, is floored at one.
     Each order's counts are kept on ``corpus``, so BLEU at another
     ``max_n`` and ROUGE-n on the same corpus do not count them again.
     """
@@ -159,7 +160,7 @@ def bleu(corpus: CorpusPair, max_n: int = 4, epsilon: float = BLEU_EPSILON) -> f
         rows = corpus._overlaps(n)
         clipped = sum(row[0] for row in rows)
         total = sum(row[1] for row in rows)
-        numerator = clipped if clipped > 0 else epsilon
+        numerator = clipped if clipped > 0 else BLEU_EPSILON
         precision = numerator / max(total, 1)
         log_sum += math.log(precision) / max_n
 

@@ -11,7 +11,8 @@ tables, a chunk search that walks every node instead of one that keeps
 finished subtrees per state, n-gram ``Counter``s built per metric instead
 of once per pair, one bond deleted at a time instead of low-links, a
 SMILES parser that keeps its state on an object instead of in local
-variables.
+variables, one ingest function per dataset layout instead of one record
+loop.
 Tests compare the two routes; the oracles must stay dumb and obvious
 rather than fast.
 """
@@ -22,7 +23,17 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+from evalkit.dataset import (
+    LAYOUTS,
+    _SOURCES,
+    DrugRecord,
+    IngestReport,
+    PairSet,
+    _digest,
+    _read_table_rows,
+)
 from evalkit.elements import AROMATIC_BRACKET, ELEMENTS
 from evalkit.errors import (
     DanglingBond,
@@ -37,6 +48,7 @@ from evalkit.errors import (
     UnknownSymbol,
     UnmatchedRingClosure,
     UnterminatedBracket,
+    read_jsonl_objects,
 )
 from evalkit.fingerprints import FNV_OFFSET, FNV_PRIME, Fingerprint
 from evalkit.smiles import (
@@ -832,3 +844,85 @@ def morgan_bits_by_payload_bytes(mol, radius: int, width: int) -> int:
         for inv in invariants:
             bits |= 1 << (inv % width)
     return bits
+
+
+# Dataset ingestion as it was before ``dataset.ingest`` read every layout
+# through one record loop: one function per layout, and a row cleaner
+# that two of them share.
+def _clean_row(raw_id: str, smiles: str, indication: str, source: str,
+               dropped: list[str], context: str) -> DrugRecord | None:
+    smiles = smiles.strip()
+    indication = indication.strip()
+    if not smiles or not indication:
+        missing = "smiles" if not smiles else "indication"
+        dropped.append(f"{context}: empty {missing}")
+        return None
+    return DrugRecord(id=raw_id.strip(), smiles=smiles,
+                      indication=indication, source=source)
+
+
+def _ingest_generic_jsonl(path: Path) -> tuple[list[DrugRecord], list[str]]:
+    records: list[DrugRecord] = []
+    dropped: list[str] = []
+    for lineno, payload in read_jsonl_objects(path, ("smiles", "indication")):
+        source = payload.get("source")
+        record = _clean_row(payload["id"], payload["smiles"], payload["indication"],
+                            source if source in _SOURCES else "other",
+                            dropped, f"line {lineno}")
+        if record:
+            records.append(record)
+    return records, dropped
+
+
+def _ingest_drugbank_csv(path: Path) -> tuple[list[DrugRecord], list[str]]:
+    records: list[DrugRecord] = []
+    dropped: list[str] = []
+    header = ["id", "name", "smiles", "indication"]
+    for lineno, row in _read_table_rows(path, header, ","):
+        record = _clean_row(row[0], row[2], row[3], "drugbank",
+                            dropped, f"line {lineno}")
+        if record:
+            records.append(record)
+    return records, dropped
+
+
+def _ingest_chembl_tsv(path: Path) -> tuple[list[DrugRecord], list[str]]:
+    dropped: list[str] = []
+    merged: dict[str, tuple[str, list[str]]] = {}
+    header = ["chembl_id", "canonical_smiles", "mesh_heading"]
+    for lineno, row in _read_table_rows(path, header, "\t"):
+        raw_id, smiles, heading = (f.strip() for f in row)
+        if not smiles or not heading:
+            missing = "canonical_smiles" if not smiles else "mesh_heading"
+            dropped.append(f"line {lineno}: empty {missing}")
+            continue
+        if raw_id in merged:
+            merged[raw_id][1].append(heading)
+        else:
+            merged[raw_id] = (smiles, [heading])
+    records = [
+        DrugRecord(id=raw_id, smiles=smiles, indication="; ".join(headings),
+                   source="chembl")
+        for raw_id, (smiles, headings) in merged.items()
+    ]
+    return records, dropped
+
+
+def ingest_by_layout_functions(path, layout: str) -> tuple[PairSet, IngestReport]:
+    """``dataset.ingest`` through one function per layout, raising what
+    it raises."""
+    path = Path(path)
+    if layout == "generic_jsonl":
+        records, dropped = _ingest_generic_jsonl(path)
+    elif layout == "drugbank_csv":
+        records, dropped = _ingest_drugbank_csv(path)
+    elif layout == "chembl_tsv":
+        records, dropped = _ingest_chembl_tsv(path)
+    else:
+        raise InputError(f"unknown layout {layout!r}; choose from {LAYOUTS}")
+    pairs = PairSet(
+        records=tuple(records),
+        provenance=f"{layout}:{path.name}:sha256:{_digest(path)}",
+    )
+    return pairs, IngestReport(kept=len(records), dropped=len(dropped),
+                               messages=tuple(dropped))

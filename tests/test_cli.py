@@ -66,6 +66,21 @@ class TestIngest:
         assert code == 1
         assert "error:" in err
 
+    def test_layout_choices_are_the_dataset_layouts(self, capsys):
+        """The parser spells the layouts out, so that commands that read no
+        dataset do not load the dataset module; it lists just its names."""
+        from evalkit.cli import build_parser
+        from evalkit.dataset import LAYOUTS
+
+        for layout in LAYOUTS:
+            args = build_parser().parse_args(["ingest", "x", "--layout", layout])
+            assert args.layout == layout
+        for other in ("parquet", "CHEMBL_TSV", ""):
+            with pytest.raises(SystemExit) as info:
+                main(["ingest", "x", "--layout", other])
+            assert info.value.code == 2
+            assert "{" + ",".join(LAYOUTS) + "}" in capsys.readouterr().err
+
     def test_field_over_csv_limit_exits_one(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(f"id,name,smiles,indication\nD1,X,{'C' * 200_000},Pain\n")

@@ -141,6 +141,19 @@ def test_output_is_utf8_whatever_the_locale(name):
         assert done.stdout == expected
 
 
+def test_errors_are_utf8_whatever_the_locale():
+    latin1 = {"PYTHONIOENCODING": "latin-1"}
+    for done in evalkit_runs("fingerprint", stdin="C\u20ac\n".encode(), env=latin1):
+        assert done.returncode == 1
+        assert done.stderr == ("error: input line 1: unexpected character "
+                               "'\u20ac' (at offset 1)\n").encode()
+    # argparse writes its error before any command runs.  Its wording after
+    # the value differs between Python versions.
+    for done in evalkit_runs("ingest", "x", "--layout", "\u20ac", env=latin1):
+        assert done.returncode == 2
+        assert "invalid choice: '\u20ac'".encode() in done.stderr
+
+
 def test_u2028_inside_a_line_does_not_end_it():
     """One line, and it fails."""
     for done in evalkit_runs("validate", stdin="CC\u2028CC\n".encode()):

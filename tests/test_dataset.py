@@ -1,8 +1,12 @@
 """Ingestion, statistics, and split tests for the dataset module."""
 
+import csv
 import hashlib
+import io
 import json
+import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,8 @@ from evalkit.errors import (
     InputError,
     SchemaMismatch,
 )
+
+import oracles
 
 
 def make_pairs(n, prefix="r"):
@@ -248,6 +254,115 @@ class TestIngestDispatch:
         assert peak < 500_000
         pairs, _ = ingest(path, "drugbank_csv")
         assert pairs.provenance == f"drugbank_csv:drugbank.csv:sha256:{want}"
+
+
+# Pieces of generated dataset files: SMILES and indications, a blank
+# (empty or whitespace-only) one now and then; JSONL ids and sources that
+# are not strings; and the header each delimited layout expects.
+SMILES = ["C", " CCO ", "c1ccccc1", "N#N"]
+INDICATIONS = ["Pain", " fever ", "Pain, acute", 'say "when"', "été"]
+BLANKS = ["", "  ", "\t"]
+SOURCES = [None, "drugbank", "chembl", "other", "mystery", " chembl", 5, True,
+           ["drugbank"], {"a": 1}]
+HEADERS = {"drugbank_csv": (["id", "name", "smiles", "indication"], ","),
+           "chembl_tsv": (["chembl_id", "canonical_smiles", "mesh_heading"], "\t")}
+
+
+def generated_file(rng: random.Random, layout: str) -> bytes:
+    """A small file in ``layout``: blank lines, ``\n``, ``\r\n`` and lone
+    ``\r`` line ends, padded, numeric, blank and repeated ids, and now and
+    then a bad header or a bad line."""
+    ids: list = []
+
+    def field(values):
+        return rng.choice(BLANKS if rng.random() < 0.08 else values)
+
+    def next_id():
+        # ChEMBL repeats ids on purpose; elsewhere a repeat is an error.
+        if ids and rng.random() < (0.4 if layout == "chembl_tsv" else 0.03):
+            return rng.choice(ids)
+        n = len(ids)
+        ids.append(field([f"D{n}", f" D{n} ", str(n), f"{n:03d}", f"{n} "]))
+        return ids[-1]
+
+    lines = []
+    if layout == "generic_jsonl":
+        for _ in range(rng.randrange(8)):
+            row = {"id": next_id(), "smiles": field(SMILES),
+                   "indication": field(INDICATIONS)}
+            if rng.random() < 0.2:
+                row["id"] = rng.choice([len(ids), len(ids) + 0.5, -1])
+            source = rng.choice(SOURCES)
+            if source is not None:
+                row["source"] = source
+            roll = rng.random()
+            if roll < 0.01:
+                row["smiles"] = 5
+            elif roll < 0.02:
+                del row["indication"]
+            lines.append(json.dumps(row, ensure_ascii=rng.random() < 0.5))
+            if roll > 0.99:
+                lines[-1] = rng.choice(["{oops", "[1, 2]", '{"id": null}'])
+    else:
+        header, delimiter = HEADERS[layout]
+        if rng.random() < 0.03:
+            header = rng.choice([header[:-1], header[::-1],
+                                 [" " + header[0], *header[1:]]])
+        stream = io.StringIO()
+        writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        for _ in range(rng.randrange(8)):
+            row = [next_id(), field(SMILES), field(INDICATIONS)]
+            if layout == "drugbank_csv":
+                row.insert(1, rng.choice(["aspirin", "", "x,y"]))
+            if rng.random() < 0.02:
+                row = row[:-1] if rng.random() < 0.5 else [*row, "extra"]
+            writer.writerow(row)
+        lines = stream.getvalue().splitlines()
+    # A blank line before a header is a bad header.
+    first = 0 if layout == "generic_jsonl" or rng.random() < 0.02 else 1
+    for _ in range(rng.randrange(3)):
+        lines.insert(rng.randrange(first, len(lines) + 1), "")
+    ends = [rng.choice(["\n", "\r\n", "\r"])]
+    if rng.random() < 0.2:
+        ends = ["\n", "\r\n", "\r"]
+    text = "".join(line + rng.choice(ends) for line in lines)
+    if text and rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
+class TestIngestAgainstLayoutFunctions:
+    """``ingest`` reads every file exactly as the per-layout functions it
+    replaced (``oracles.ingest_by_layout_functions``) did: equal records,
+    provenance and report, or the same error class and message."""
+
+    @staticmethod
+    def outcome(read, path, layout):
+        try:
+            pairs, report = read(path, layout)
+        except InputError as exc:
+            return type(exc), str(exc)
+        return pairs.records, pairs.provenance, report
+
+    @pytest.mark.parametrize("layout", dataset.LAYOUTS)
+    def test_generated_files(self, tmp_path, layout):
+        rng = random.Random(2800 + dataset.LAYOUTS.index(layout))
+        path = tmp_path / "pairs.txt"
+        differences = []
+        kinds = Counter()
+        for _ in range(1000):
+            path.write_bytes(generated_file(rng, layout))
+            new = self.outcome(ingest, path, layout)
+            old = self.outcome(oracles.ingest_by_layout_functions, path, layout)
+            if new != old:
+                differences.append((path.read_bytes(), new, old))
+            kinds["error" if isinstance(new[0], type)
+                  else "dropped" if new[2].dropped else "clean"] += 1
+        assert not differences, differences[:3]
+        # Errors, dropped rows and clean files are all common, so each
+        # path is compared.
+        assert min(kinds["error"], kinds["dropped"], kinds["clean"]) > 50, kinds
 
 
 class TestPairSet:

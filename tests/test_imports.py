@@ -123,13 +123,15 @@ def test_import_loads_no_submodule():
 NOT_LOADED = {
     "eval-d2i": (["eval-d2i", fixture("predictions_d2i_small.jsonl")],
                  {"evalkit.smiles", "evalkit.fingerprints", "evalkit.tokenizer",
-                  "evalkit.elements", "evalkit.rng", "hashlib", "csv", "numpy"}),
+                  "evalkit.elements", "evalkit.rng", "evalkit.dataset", "hashlib",
+                  "csv", "numpy"}),
     "validate": (["validate", fixture("smiles_grammar.txt")],
-                 {"evalkit.fingerprints"}),
-    "tokenize": (["tokenize", fixture("valid_smiles.txt")], {"evalkit.smiles"}),
+                 {"evalkit.fingerprints", "evalkit.dataset"}),
+    "tokenize": (["tokenize", fixture("valid_smiles.txt")],
+                 {"evalkit.smiles", "evalkit.dataset"}),
     # The built-in key set's digest is a literal: no OpenSSL.
     "eval-i2d": (["eval-i2d", fixture("predictions_i2d_small.jsonl")],
-                 {"hashlib", "_hashlib", "numpy"}),
+                 {"evalkit.dataset", "hashlib", "_hashlib", "numpy"}),
 }
 
 
