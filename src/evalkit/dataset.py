@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 from .errors import (
     DegenerateSplit,
@@ -103,29 +103,29 @@ class SplitSpec:
                 f"got {self.test_fraction}")
 
 
-# Bytes hashed per read in _digest: the file is never held whole.
-_DIGEST_PIECE = 1 << 16
+class _Hashed:
+    """The bytes of a binary stream, fed to ``digest`` as they are read, so
+    that a file is hashed in the one pass that reads its records."""
+
+    def __init__(self, stream: BinaryIO, digest):
+        self.stream, self.digest = stream, digest
+
+    def read(self, size: int) -> bytes:
+        piece = self.stream.read(size)
+        self.digest.update(piece)
+        return piece
 
 
-def _digest(path: Path) -> str:
-    import hashlib  # loads OpenSSL: only ingest needs it
-
-    digest = hashlib.sha256()
-    with path.open("rb") as stream:
-        while piece := stream.read(_DIGEST_PIECE):
-            digest.update(piece)
-    return digest.hexdigest()[:16]
-
-
-def _read_table_rows(path: Path, header: list[str],
-                     delimiter: str) -> Iterator[tuple[int, list[str]]]:
+def _read_table_rows(path: Path, header: list[str], delimiter: str,
+                     stream: BinaryIO | None = None) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, row)`` for each non-empty data row of a
-    delimited file.  A header other than ``header``, a row with another
-    number of columns, or a field over ``csv.field_size_limit()`` (kept:
-    it bounds each field's memory) raises :class:`SchemaMismatch`."""
+    delimited file, or of the bytes of ``stream`` when given.  A header
+    other than ``header``, a row with another number of columns, or a field
+    over ``csv.field_size_limit()`` (kept: it bounds each field's memory)
+    raises :class:`SchemaMismatch`."""
     import csv
 
-    reader = csv.reader(utf8_lines(path, newline=""), delimiter=delimiter)
+    reader = csv.reader(utf8_lines(path, newline="", stream=stream), delimiter=delimiter)
     try:
         found = next(reader, None)
         if found != header:
@@ -142,26 +142,30 @@ def _read_table_rows(path: Path, header: list[str],
         raise SchemaMismatch(f"{path} line {reader.line_num}: {exc}") from exc
 
 
-def _layout_rows(path: Path, layout: str) -> Iterator[tuple[int, str, str, str, str]]:
+def _layout_rows(path: Path, layout: str,
+                 digest) -> Iterator[tuple[int, str, str, str, str]]:
     """Yield ``(line number, id, smiles, indication, source)`` for each
     record line of ``path`` in ``layout``, the fields as the file holds
-    them.  An unknown layout raises :class:`InputError` before the file
-    is opened."""
-    if layout == "generic_jsonl":
-        for lineno, payload in read_jsonl_objects(path, ("smiles", "indication")):
-            source = payload.get("source")
-            yield (lineno, payload["id"], payload["smiles"], payload["indication"],
-                   source if source in _SOURCES else "other")
-    elif layout == "drugbank_csv":
-        header = ["id", "name", "smiles", "indication"]
-        for lineno, row in _read_table_rows(path, header, ","):
-            yield lineno, row[0], row[2], row[3], "drugbank"
-    elif layout == "chembl_tsv":
-        header = ["chembl_id", "canonical_smiles", "mesh_heading"]
-        for lineno, row in _read_table_rows(path, header, "\t"):
-            yield lineno, row[0], row[1], row[2], "chembl"
-    else:
+    them, and feed the file's bytes to ``digest`` as they are read.  An
+    unknown layout raises :class:`InputError` before the file is opened."""
+    if layout not in LAYOUTS:
         raise InputError(f"unknown layout {layout!r}; choose from {LAYOUTS}")
+    with path.open("rb") as raw:
+        stream = _Hashed(raw, digest)
+        if layout == "generic_jsonl":
+            for lineno, payload in read_jsonl_objects(path, ("smiles", "indication"),
+                                                      stream):
+                source = payload.get("source")
+                yield (lineno, payload["id"], payload["smiles"], payload["indication"],
+                       source if source in _SOURCES else "other")
+        elif layout == "drugbank_csv":
+            header = ["id", "name", "smiles", "indication"]
+            for lineno, row in _read_table_rows(path, header, ",", stream):
+                yield lineno, row[0], row[2], row[3], "drugbank"
+        else:
+            header = ["chembl_id", "canonical_smiles", "mesh_heading"]
+            for lineno, row in _read_table_rows(path, header, "\t", stream):
+                yield lineno, row[0], row[1], row[2], "chembl"
 
 
 def ingest(path: str | Path, layout: str) -> tuple[PairSet, IngestReport]:
@@ -172,13 +176,16 @@ def ingest(path: str | Path, layout: str) -> tuple[PairSet, IngestReport]:
     the row.  Duplicate ids raise except in the ChEMBL layout, where
     repeated ids are the documented multi-indication representation.
     """
+    import hashlib  # loads OpenSSL: only ingest needs it
+
     path = Path(path)
+    digest = hashlib.sha256()
     # A dropped row's message names the empty field as the layout does.
     names = (("canonical_smiles", "mesh_heading") if layout == "chembl_tsv"
              else ("smiles", "indication"))
     records: list[DrugRecord] = []
     dropped: list[str] = []
-    for lineno, raw_id, smiles, indication, source in _layout_rows(path, layout):
+    for lineno, raw_id, smiles, indication, source in _layout_rows(path, layout, digest):
         smiles, indication = smiles.strip(), indication.strip()
         if smiles and indication:
             records.append(DrugRecord(raw_id.strip(), smiles, indication, source))
@@ -195,7 +202,7 @@ def ingest(path: str | Path, layout: str) -> tuple[PairSet, IngestReport]:
                    for rows in merged.values()]
     pairs = PairSet(
         records=tuple(records),
-        provenance=f"{layout}:{path.name}:sha256:{_digest(path)}",
+        provenance=f"{layout}:{path.name}:sha256:{digest.hexdigest()[:16]}",
     )
     return pairs, IngestReport(kept=len(records), dropped=len(dropped),
                                messages=tuple(dropped))

@@ -223,15 +223,16 @@ def utf8_lines(path: str | Path, newline: str | None = None,
         offset += len(data)
 
 
-def read_jsonl_objects(path: Path,
-                       text_keys: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
+def read_jsonl_objects(path: Path, text_keys: tuple[str, ...],
+                       stream: BinaryIO | None = None) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL
+    file, or of the bytes of ``stream`` when given (its name is then ``path``).
 
     Each line must be a JSON object with a string or numeric ``id``, yielded
     as a string, and a string under every key in ``text_keys``.  Any other
     line raises :class:`SchemaMismatch` naming the file and line.
     """
-    for lineno, line in enumerate(utf8_lines(path), start=1):
+    for lineno, line in enumerate(utf8_lines(path, stream=stream), start=1):
         if not line.strip():
             continue
         where = f"{path} line {lineno}"

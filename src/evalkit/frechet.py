@@ -5,14 +5,20 @@ files.  The file format is one header line ``D=<dim>`` followed by one
 space-separated vector per line.  Files whose first two bytes are the gzip
 magic number are decompressed transparently.
 
-A file is read once, through :func:`evalkit.errors.utf8_lines`, the line
+A file is split into lines by :func:`evalkit.errors.utf8_lines`, the line
 reader of every user file, so its lines end at ``\n``, ``\r\n`` or a lone
-``\r`` and at no other character, its text is never held whole, and a pipe
-is read as a regular file is.  Its lines are parsed in chunks of
-bounded text by ``np.loadtxt``, or, where NumPy rejects a chunk, a line at
-a time by ``float()``.  Wherever they are in the file, faults raise in this
-order: gzip, UTF-8, the header, the first bad line, too few rows, a
-non-finite value.  :func:`fcd_from_files` never holds a file's rows whole:
+``\r`` and at no other character, and its text is never held whole.  Its
+lines are parsed in chunks of bounded text by ``np.loadtxt``, or, where
+NumPy rejects a chunk, a line at a time by ``float()``.  A regular,
+uncompressed file of ``_SPLIT_MIN_BYTES`` or more is parsed on two CPUs,
+in pieces cut at line ends that this process and one forked helper take
+in turn (:func:`_split_chunks`); this process still receives every row in
+file order, so the rows, and every fit of them, are those of one CPU.
+Any other file, a pipe or a gzip file among them, is read once, a line
+at a time, on one CPU, and so is a large file whose two-CPU read meets a
+fault: wherever they are in the file, faults raise in this order: gzip,
+UTF-8, the header, the first bad line, too few rows, a non-finite value.
+:func:`fcd_from_files` never holds a file's rows whole:
 it regroups them into blocks of ``_BLOCK_VALUES`` values (two rows at
 least) and folds each block into a column sum and a ``D x D`` scatter.  A
 file that fits in one block is fitted exactly as a whole matrix is.
@@ -29,13 +35,15 @@ from __future__ import annotations
 
 import gzip
 import math
+import os
 import re
 import zlib
 from array import array
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from stat import S_ISREG
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -81,10 +89,12 @@ class EmbeddingSet:
 
 @dataclass(frozen=True)
 class GaussianStats:
-    """Mean vector and symmetrised unbiased covariance of an embedding set."""
+    """Mean vector and symmetrised unbiased covariance of an embedding set,
+    and the number of rows they were fitted from (0 where not known)."""
 
     mean: np.ndarray
     covariance: np.ndarray
+    rows: int = 0
 
 
 def gaussian_fit(embeddings: EmbeddingSet, *,
@@ -104,7 +114,7 @@ def gaussian_fit(embeddings: EmbeddingSet, *,
     with np.errstate(over="ignore", invalid="ignore"):
         covariance = centered.T @ centered / (vectors.shape[0] - 1)
         covariance = (covariance + covariance.T) / 2.0
-    return GaussianStats(mean=mean, covariance=covariance)
+    return GaussianStats(mean=mean, covariance=covariance, rows=vectors.shape[0])
 
 
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -117,16 +127,33 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
+def _root_first(a: GaussianStats, b: GaussianStats) -> bool:
+    """Whether :func:`frechet_distance` takes the square root of ``a``'s
+    covariance rather than ``b``'s."""
+    if a.rows != b.rows:
+        return a.rows > b.rows
+    return ((a.covariance.tobytes(), a.mean.tobytes())
+            >= (b.covariance.tobytes(), b.mean.tobytes()))
+
+
 def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     """Squared Frechet distance between two Gaussians.
 
     Never returns a negative value: eigenvalues of the inner product matrix
     and the final sum are both clamped at zero, so two fits of the same
     sample differ only by accumulated rounding.
+
+    Swapping ``a`` and ``b`` gives the same bits.  The square root is taken
+    of the covariance fitted from more rows, which has the higher rank: the
+    root of a rank-deficient covariance turns its rounding-level
+    eigenvalues into ones of their square root's size.  Fits of as many
+    rows are put in the order of their bytes.
     """
     if a.mean.shape != b.mean.shape:
         raise DimensionMismatch(
             f"gaussians of dimension {a.mean.shape[0]} vs {b.mean.shape[0]}")
+    if not _root_first(a, b):
+        a, b = b, a
     # Overflow shows as a non-finite distance, checked below, instead of
     # as NumPy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -162,6 +189,15 @@ _BLOCK_VALUES = 1 << 17
 # the peak memory of a process that scores embedding files call after call.
 _CHUNK_CHARS = 1 << 15
 
+# A file of _SPLIT_MIN_BYTES or more is parsed on two CPUs, in pieces of
+# about _SPLIT_PIECE_BYTES that go to this process and the helper in turn
+# (see _split_chunks).  This process also folds every row, so it parses the
+# smaller piece of each pair: _SPLIT_CALLER_SHARE of its bytes.  Read at
+# call time.
+_SPLIT_PIECE_BYTES = 1 << 20
+_SPLIT_CALLER_SHARE = 0.4
+_SPLIT_MIN_BYTES = 4 << 20
+
 
 def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np.ndarray]:
     """Parse a ``D=<dim>`` vector file into (dim, float64 rows).
@@ -171,17 +207,21 @@ def read_vector_rows(path: str | Path, row_multiplier: int = 1) -> tuple[int, np
     ``float()`` reads them; blank lines are skipped.  Gzip-compressed files
     are detected by magic number and decompressed.
 
-    The file is read once, a line at a time, so a pipe is read as a file
-    is, and its text is never held whole.  Lines end where ``open()`` ends
-    them; a form feed or U+2028 is whitespace within its line.  Wherever
-    they are in the file, faults raise in this order: gzip, UTF-8, the
-    header, the first bad line.
+    The file's text is never held whole, and a pipe is read as a file is,
+    once, a line at a time.  A large regular file is parsed on two CPUs
+    (see :func:`_split_chunks`) into the same rows.  Lines end where
+    ``open()`` ends them; a form feed or U+2028 is whitespace within its
+    line.  Wherever they are in the file, faults raise in this order:
+    gzip, UTF-8, the header, the first bad line.
     """
-    chunks = _read_chunks(Path(path), row_multiplier)
-    dim, values = next(chunks), array("d")
-    for rows in chunks:
-        values.frombytes(rows.data.cast("B"))
-    return dim, np.frombuffer(values, dtype=np.float64).reshape(-1, dim * row_multiplier)
+    def gather(chunks: Iterator) -> tuple[int, np.ndarray]:
+        dim, values = next(chunks), array("d")
+        for rows in chunks:
+            values.frombytes(rows.data.cast("B"))
+        return dim, np.frombuffer(values, dtype=np.float64).reshape(
+            -1, dim * row_multiplier)
+
+    return _parsed(Path(path), row_multiplier, gather)
 
 
 class _Rejoined:
@@ -235,27 +275,183 @@ def _read_chunks(path: Path, row_multiplier: int) -> Iterator[int | np.ndarray]:
     ``_CHUNK_CHARS`` characters of non-blank lines at a time.  A fault in
     the header or a line raises once the rest of the file is decoded."""
     lines = (line.removesuffix("\n") for line in _lines(path))
-    chunk: list[tuple[int, str]] = []
-    chars = 0
     try:
         dim = _header_dim(path, next(lines, None))
         yield dim
-        expected = dim * row_multiplier
-        for lineno, line in enumerate(lines, start=2):
-            if line and not line.isspace():
-                chunk.append((lineno, line))
-                chars += len(line)
-                if chars >= _CHUNK_CHARS:
-                    # The lines, then the rows, are freed before the next chunk.
-                    rows, chunk, chars = _chunk_rows(path, chunk, expected), [], 0
-                    yield rows
-                    del rows
-        if chunk:
-            yield _chunk_rows(path, chunk, expected)
+        yield from _line_chunks(path, enumerate(lines, start=2), dim * row_multiplier)
     except InputError:
         for _ in lines:  # a gzip or UTF-8 fault later in the file comes first
             pass
         raise
+
+
+def _line_chunks(path: Path, lines: Iterable[tuple[int, str]],
+                 expected: int) -> Iterator[np.ndarray]:
+    """The rows of numbered lines, parsed a chunk of about ``_CHUNK_CHARS``
+    characters of non-blank lines at a time."""
+    chunk: list[tuple[int, str]] = []
+    chars = 0
+    for lineno, line in lines:
+        if line and not line.isspace():
+            chunk.append((lineno, line))
+            chars += len(line)
+            if chars >= _CHUNK_CHARS:
+                # The lines, then the rows, are freed before the next chunk.
+                rows, chunk, chars = _chunk_rows(path, chunk, expected), [], 0
+                yield rows
+                del rows
+    if chunk:
+        yield _chunk_rows(path, chunk, expected)
+
+
+class _OneCpu(Exception):
+    """The file is not read on two CPUs, or that read failed."""
+
+
+def _parsed(path: Path, row_multiplier: int, use: Callable[[Iterator], Any]) -> Any:
+    """``use(chunks)``, where ``chunks`` yields the file's dimension and
+    then its rows in order: read on two CPUs by :func:`_split_chunks` where
+    it can, else by :func:`_read_chunks`.  If the two-CPU read or ``use``
+    fails in any way there, the file is read again from its start on one
+    CPU, so every fault is raised as one CPU raises it."""
+    chunks = _split_chunks(path, row_multiplier)
+    try:
+        return use(chunks)
+    except (InputError, _OneCpu):
+        pass
+    finally:
+        chunks.close()  # the helper, if any, is gone before the next read
+    chunks = _read_chunks(path, row_multiplier)
+    try:
+        return use(chunks)
+    except NonFiniteInput:
+        for _ in chunks:  # a fault later in the file comes first
+            pass
+        raise
+
+
+class _Range:
+    """The bytes of an open file from offset ``begin`` to ``end``, read by
+    ``os.pread``: the file's own offset, which a forked process shares, is
+    never moved."""
+
+    def __init__(self, fd: int, begin: int, end: int):
+        self.fd, self.begin, self.end = fd, begin, end
+
+    def read(self, size: int) -> bytes:
+        data = os.pread(self.fd, min(size, self.end - self.begin), self.begin)
+        self.begin += len(data)
+        return data
+
+
+def _line_start(fd: int, offset: int, size: int) -> int:
+    """The offset just past the first ``\n`` at or after ``offset``, or
+    ``size`` if there is none."""
+    while offset < size:
+        block = os.pread(fd, _PIECE_BYTES, offset)
+        if not block:
+            break
+        found = block.find(b"\n")
+        if found >= 0:
+            return offset + found + 1
+        offset += len(block)
+    return size
+
+
+def _split_chunks(path: Path, row_multiplier: int) -> Iterator[int | np.ndarray]:
+    """The file's dimension, then its rows, parsed on two CPUs; raises
+    :class:`_OneCpu` where that does not apply or fails.
+
+    It applies to a regular file of ``_SPLIT_MIN_BYTES`` or more that is
+    not gzipped and whose ``D=`` line ends at a ``\n``, when a
+    :func:`evalkit.harness._helper` can run.  After that line the file is
+    cut into pieces, each just after a ``\n``, so that no ``\r\n`` and no
+    UTF-8 character is split.  The pieces go to this process and the
+    helper in turn.  The helper parses its pieces and sends each one's rows
+    as float64 bytes; this process parses its own, waits for each of the
+    helper's in turn, and yields all the rows in file order.  A piece
+    parses as it would within the whole file, lines by :func:`utf8_lines`
+    and rows by :func:`_chunk_rows`, so the rows are the one-CPU read's.
+    A fault in a piece of this process raises with a line number that is
+    not the file's, and one in a piece of the helper's, or a helper that
+    dies, ends the pipe early and raises :class:`_OneCpu`: so
+    :func:`_parsed` reads the file again on one CPU to raise it.
+    """
+    from . import harness  # one fork, pipe and reap for every helper
+
+    pair = 2 * _SPLIT_PIECE_BYTES  # bytes of one piece of each process
+    mine = round(pair * _SPLIT_CALLER_SHARE)
+    try:
+        # Looked at before it is opened: a pipe can be opened only once.
+        stat = os.stat(path)
+        if not S_ISREG(stat.st_mode) or stat.st_size < _SPLIT_MIN_BYTES:
+            raise _OneCpu
+        raw = open(path, "rb", buffering=0)
+    except OSError:
+        raise _OneCpu from None
+    with raw:
+        fd = raw.fileno()
+        size = os.fstat(fd).st_size
+        head = os.pread(fd, _PIECE_BYTES, 0)
+        end = head.find(b"\n")
+        first = head[:end].removesuffix(b"\r")
+        if head.startswith(b"\x1f\x8b") or end < 0 or b"\r" in first:
+            raise _OneCpu
+        # A bad header raises here, and so on one CPU.
+        dim, start = _header_dim(path, first.decode("latin-1")), end + 1
+        expected = dim * row_multiplier
+        # Piece k starts just past the first "\n" at or after mark(k) (the
+        # first, just past the header).  Even pieces are this process's,
+        # odd ones the helper's.
+        def mark(k: int) -> int:
+            return start + k // 2 * pair + k % 2 * mine
+
+        def cut(k: int) -> int:
+            return start if k == 0 else _line_start(fd, mark(k), size)
+
+        count = 0
+        while mark(count) < size:
+            count += 1
+
+        def rows(k: int) -> Iterator[np.ndarray]:
+            """The rows of piece ``k``, a chunk at a time."""
+            lines = utf8_lines(path, stream=_Range(fd, cut(k), cut(k + 1)))
+            return _line_chunks(path, ((0, line.removesuffix("\n")) for line in lines),
+                                expected)
+
+        def sent() -> Iterator[array]:
+            # A piece at a time: a pipe's buffer holds too little of one to
+            # let the helper parse ahead while this process parses its own.
+            for k in range(1, count, 2):
+                values = array("d")
+                for chunk in rows(k):
+                    values.frombytes(chunk.data.cast("B"))
+                yield values
+
+        with harness._helper(sent) as pipe:
+            if pipe is None:
+                raise _OneCpu
+            yield dim
+            for k in range(count):
+                if k % 2 == 0:
+                    yield from rows(k)
+                # A record: 4 bytes of length, then the piece's rows; a piece
+                # in which no line starts has none.
+                elif length := int.from_bytes(_read_exactly(pipe, 4), "little"):
+                    yield np.frombuffer(_read_exactly(pipe, length),
+                                        dtype=np.float64).reshape(-1, expected)
+
+
+def _read_exactly(fd: int, size: int) -> bytearray:
+    """The next ``size`` bytes of a pipe; its end raises :class:`_OneCpu`."""
+    data = bytearray(size)
+    view, got = memoryview(data), 0
+    while got < size:
+        count = os.readv(fd, [view[got:]])
+        if not count:
+            raise _OneCpu
+        got += count
+    return data
 
 
 def _chunk_rows(path: Path, chunk: list[tuple[int, str]], expected: int) -> np.ndarray:
@@ -312,13 +508,8 @@ def _fit_file(path: Path) -> GaussianStats:
     """The Gaussian of an embedding file's rows, folded a block at a time as
     they are parsed (see :func:`_row_blocks`), so that the fit depends only
     on the values.  It raises what :func:`load_embeddings` raises."""
-    chunks = _read_chunks(path, 1)
-    try:
-        return _fit_blocks(path, _row_blocks(chunks, next(chunks)))
-    except NonFiniteInput:
-        for _ in chunks:  # a fault later in the file comes first
-            pass
-        raise
+    return _parsed(path, 1, lambda chunks: _fit_blocks(
+        path, _row_blocks(chunks, next(chunks))))
 
 
 def _row_blocks(chunks: Iterator[np.ndarray], dim: int) -> Iterator[np.ndarray]:
@@ -377,4 +568,4 @@ def _fit_blocks(path: Path, blocks: Iterator[np.ndarray]) -> GaussianStats:
         scatter -= np.outer(centre, centre) * count
         covariance = scatter / (count - 1)
         covariance = (covariance + covariance.T) / 2.0
-    return GaussianStats(mean=shift + centre, covariance=covariance)
+    return GaussianStats(mean=shift + centre, covariance=covariance, rows=count)

@@ -21,6 +21,7 @@ formatting, no timestamps.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import marshal
@@ -56,7 +57,7 @@ from .textmetrics import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterable, Iterator
 
     from . import fingerprints as fp
     from .smiles import Molecule
@@ -251,17 +252,71 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _helper(records: Callable[[], Iterable[bytes]]) -> Iterator[int | None]:
+    """Fork one helper process that sends each bytes-like value of
+    ``records()`` down a pipe, as a 4-byte length and the bytes, and then
+    exits; yield the pipe's read end, or None when no helper can run: one
+    CPU, no ``os.fork``, or no process or pipe to spare.
+
+    The helper is a copy of the caller, stack and all, so it never returns
+    into it: an error or a value it cannot send only ends its output early.
+    On leaving, the helper is killed and reaped and the pipe is closed,
+    whether or not the caller read all it sent.
+    """
+    pid = None
+    if hasattr(os, "fork") and _cpu_count() >= 2:
+        try:
+            fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd)
+                os.close(write_fd)
+                raise
+        except OSError:  # no process or pipe to spare: no helper
+            pass
+    if pid == 0:
+        try:
+            import gc
+
+            os.close(fd)
+            gc.disable()  # a collection would touch, and so copy, every page
+            for record in records():
+                record = memoryview(record).cast("B")
+                for out in (memoryview(len(record).to_bytes(4, "little")), record):
+                    while out:
+                        out = out[os.write(write_fd, out):]
+        finally:
+            os._exit(0)
+    if pid is None:
+        yield None
+        return
+    os.close(write_fd)
+    try:
+        yield fd
+    finally:
+        import signal
+
+        os.close(fd)
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # reaped already: the caller ignores SIGCHLD
+
+
 def _sweep(items: list, fn: Callable[[Any], Any]) -> list:
     """``[fn(item) for item in items]``, on two CPUs when there are two.
 
-    This process works from ``items[0]`` forward. One forked helper works
-    from the back and sends each value down a pipe as a 4-byte length and
-    its ``marshal`` bytes; ``marshal`` is built in, so the helper loads no
-    module to send them. This process takes what has arrived after each
-    item, without waiting, so the two stop where they meet and at most one
-    item is computed twice. ``fn`` must therefore return plain values that
-    ``marshal`` gives back equal. A value it cannot write stops the helper,
-    and this process then does every item itself.
+    This process works from ``items[0]`` forward. One :func:`_helper` works
+    from the back and sends each value as its ``marshal`` bytes; ``marshal``
+    is built in, so the helper loads no module to send them. This process
+    takes what has arrived after each item, without waiting, so the two
+    stop where they meet and at most one item is computed twice. ``fn``
+    must therefore return plain values that ``marshal`` gives back equal.
+    A value it cannot write stops the helper, and this process then does
+    every item itself.
 
     This process never waits for the helper: a helper that dies or raises
     only leaves more of the items to this process, so any error is raised
@@ -271,43 +326,20 @@ def _sweep(items: list, fn: Callable[[Any], Any]) -> list:
     """
     results: list = [None] * len(items)
     start, end = 0, len(items)  # results[:start] made here, results[end:] sent
-    pid = None  # the helper's, once forked
-    if len(items) >= 2 and hasattr(os, "fork") and _cpu_count() >= 2:
-        try:
-            fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(fd)
-                os.close(write_fd)
-                raise
-        except OSError:  # no process or pipe to spare: one CPU's sweep
-            pass
-    if pid == 0:
-        # The helper: a copy of the caller, stack and all, so it must never
-        # return into it. Whatever happens, it ends here.
-        try:
-            import gc
 
-            os.close(fd)
-            gc.disable()  # a collection would touch, and so copy, every page
-            for item in reversed(items):
-                value = marshal.dumps(fn(item))
-                out = memoryview(len(value).to_bytes(4, "little") + value)
-                while out:
-                    out = out[os.write(write_fd, out):]
-        finally:
-            os._exit(0)
-    if pid:
-        os.close(write_fd)
-        os.set_blocking(fd, False)
+    def values():
+        for item in reversed(items):
+            yield marshal.dumps(fn(item))
+
     pending = bytearray()
-    try:
+    with _helper(values) if len(items) >= 2 else contextlib.nullcontext() as fd:
+        if fd is not None:
+            os.set_blocking(fd, False)
         while start < end:
             results[start] = fn(items[start])
             items[start] = None
             start += 1
-            if not pid:
+            if fd is None:
                 continue
             try:
                 while chunk := os.read(fd, 1 << 16):
@@ -322,16 +354,6 @@ def _sweep(items: list, fn: Callable[[Any], Any]) -> list:
                 results[end] = marshal.loads(pending[4:size])
                 items[end] = None
                 del pending[:size]
-    finally:
-        if pid:
-            import signal
-
-            os.close(fd)
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass  # reaped already: the caller ignores SIGCHLD
     return results
 
 

@@ -31,7 +31,6 @@ from evalkit.dataset import (
     DrugRecord,
     IngestReport,
     PairSet,
-    _digest,
     _read_table_rows,
 )
 from evalkit.elements import AROMATIC_BRACKET, ELEMENTS
@@ -906,6 +905,16 @@ def _ingest_chembl_tsv(path: Path) -> tuple[list[DrugRecord], list[str]]:
         for raw_id, (smiles, headings) in merged.items()
     ]
     return records, dropped
+
+
+def _digest(path: Path) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    with path.open("rb") as stream:
+        while piece := stream.read(1 << 16):
+            digest.update(piece)
+    return digest.hexdigest()[:16]
 
 
 def ingest_by_layout_functions(path, layout: str) -> tuple[PairSet, IngestReport]:

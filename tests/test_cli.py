@@ -663,6 +663,11 @@ FUZZED_FILES = {
                       "{fixtures}/embeddings_hyp.txt"), "embeddings_ref.txt"),
     "render": (("render", "{path}"), "golden/d2i_small.json"),
 }
+# The embedding readers again, on two CPUs, with the file cut into pieces of
+# a few bytes: a fault in any piece, the helper's included, exits cleanly.
+SPLIT = {f"{name} split": FUZZED_FILES[name]
+         for name in ("eval-d2i text2mol", "fcd", "eval-i2d fcd")}
+FUZZED_FILES.update(SPLIT)
 
 
 def _file_bytes(seed: bytes):
@@ -679,8 +684,14 @@ def _file_bytes(seed: bytes):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_any_file_bytes_exit_cleanly(tmp_path, fixtures_dir, name, data):
+def test_any_file_bytes_exit_cleanly(tmp_path, fixtures_dir, monkeypatch, name, data):
     argv, seed = FUZZED_FILES[name]
+    if name in SPLIT:
+        from evalkit import frechet, harness
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(frechet, "_SPLIT_PIECE_BYTES", 8)
+        monkeypatch.setattr(frechet, "_SPLIT_MIN_BYTES", 0)
     content = data.draw(_file_bytes((fixtures_dir / seed).read_bytes()))
     path = tmp_path / "input"
     path.write_bytes(content)
@@ -689,6 +700,8 @@ def test_any_file_bytes_exit_cleanly(tmp_path, fixtures_dir, name, data):
         code = main([arg.format(path=path, fixtures=fixtures_dir) for arg in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    with pytest.raises(ChildProcessError):  # no helper is left running
+        os.waitpid(-1, os.WNOHANG)
 
 
 # Key-set rows that once ended in a ValueError traceback (a digit int() does

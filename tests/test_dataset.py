@@ -4,9 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +32,12 @@ from evalkit.errors import (
     EmptySet,
     InputError,
     SchemaMismatch,
+    utf8_lines,
 )
 
 import oracles
+
+SRC = Path(dataset.__file__).resolve().parents[1]
 
 
 def make_pairs(n, prefix="r"):
@@ -244,16 +251,43 @@ class TestIngestDispatch:
             b"DB%06d,aspirin,CC(=O)Oc1ccccc1C(=O)O,pain and fever\r\n" % i
             for i in range(80_000)))  # 4.5 MB
         want = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        # The digest is fed by the stream the records are read from: reading
+        # the lines through it holds no more than a piece of the file.
+        digest = hashlib.sha256()
         tracemalloc.start()
         try:
-            got = dataset._digest(path)
+            with path.open("rb") as raw:
+                for _ in utf8_lines(path, stream=dataset._Hashed(raw, digest)):
+                    pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got == want
+        assert digest.hexdigest()[:16] == want
         assert peak < 500_000
         pairs, _ = ingest(path, "drugbank_csv")
         assert pairs.provenance == f"drugbank_csv:drugbank.csv:sha256:{want}"
+
+    @pytest.mark.parametrize("layout,name", [
+        ("generic_jsonl", "pairs_small.jsonl"), ("drugbank_csv", "drugbank_like.csv"),
+        ("chembl_tsv", "chembl_like.tsv")])
+    def test_piped_file_has_the_provenance_of_the_file(self, fixtures_dir, layout,
+                                                       name):
+        """A pipe can be read only once: its digest is of the bytes its
+        records were read from, as a file's is, not of what is left after
+        them."""
+        data = (fixtures_dir / name).read_bytes()
+        sha = hashlib.sha256(data).hexdigest()[:16]
+        on_disk = ingest(fixtures_dir / name, layout)
+        assert on_disk[0].provenance == f"{layout}:{name}:sha256:{sha}"
+        program = ("import sys; from evalkit.dataset import ingest; "
+                   "pairs, report = ingest('/dev/stdin', sys.argv[1]); "
+                   "print(pairs.provenance, len(pairs), report.dropped)")
+        done = subprocess.run([sys.executable, "-c", program, layout], input=data,
+                              capture_output=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode() == (f"{layout}:stdin:sha256:{sha} "
+                                        f"{len(on_disk[0])} {on_disk[1].dropped}\n")
 
 
 # Pieces of generated dataset files: SMILES and indications, a blank

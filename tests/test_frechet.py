@@ -2,12 +2,16 @@
 
 import gzip
 import io
+import json
 import os
 import random
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evalkit import frechet
+from evalkit import frechet, harness
 from evalkit.errors import (
     DimensionMismatch,
     InputError,
@@ -144,6 +148,27 @@ class TestFrechetDistance:
         forward = frechet_distance(a, b)
         backward = frechet_distance(b, a)
         assert forward == pytest.approx(backward, rel=1e-9)
+
+    def test_swap_gives_the_same_bits_with_singular_covariances(self):
+        # Rank-2 covariances in three dimensions: taking the root of one or
+        # of the other differed by 1e-8, five parts in a million.
+        xs = np.zeros((6, 3))
+        xs[0], xs[1] = [2.0, 0.0, 1.0], [0.0, 2.0, 0.0]
+        ys = xs.copy()
+        ys[0, 1] = 0.125
+        a, b = gaussian_fit(EmbeddingSet(xs)), gaussian_fit(EmbeddingSet(ys))
+        assert frechet_distance(a, b).hex() == frechet_distance(b, a).hex()
+
+    def test_root_is_taken_of_the_fit_of_more_rows(self):
+        rng = np.random.default_rng(41)
+        big = gaussian_fit(EmbeddingSet(rng.normal(size=(40, 8))))
+        small = gaussian_fit(EmbeddingSet(rng.normal(size=(5, 8)) + 0.5))
+        assert (big.rows, small.rows) == (40, 5)
+        assert frechet_distance(small, big).hex() == frechet_distance(big, small).hex()
+        # The same covariances, with row counts that put big's root first.
+        one = GaussianStats(mean=big.mean, covariance=big.covariance, rows=1)
+        none = GaussianStats(mean=small.mean, covariance=small.covariance)
+        assert frechet_distance(small, big).hex() == frechet_distance(none, one).hex()
 
     def test_translation_moves_distance_by_shift_norm(self):
         rng = np.random.default_rng(29)
@@ -771,6 +796,218 @@ class TestBlockFold:
             writer.join(timeout=10)
             assert not writer.is_alive()
         assert got == fcd_from_files(plain, hyp)
+
+
+# The pieces of a file read on two CPUs, made small enough that the
+# fixtures and short files split into many of them.
+SMALL_PIECE = 256
+
+
+class TestTwoCpus:
+    """A file read on two CPUs (see ``frechet._split_chunks``) gives the
+    bits, or the error class and message, of the same file read on one,
+    and leaves no helper process behind."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """The serial reads and the forks of a test, on two CPUs, with
+        pieces of SMALL_PIECE bytes from the smallest file on."""
+        monkeypatch.setattr(frechet, "_SPLIT_PIECE_BYTES", SMALL_PIECE)
+        monkeypatch.setattr(frechet, "_SPLIT_MIN_BYTES", 0)
+        calls = {"serial": 0, "forks": 0}
+        read_chunks, fork = frechet._read_chunks, os.fork
+
+        def serial(*args):
+            calls["serial"] += 1
+            return read_chunks(*args)
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                calls["forks"] += 1
+            return pid
+
+        monkeypatch.setattr(frechet, "_read_chunks", serial)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return calls
+
+    @staticmethod
+    def on_cpus(cpus, call):
+        """``call()``'s value, or its InputError's class and message, with
+        ``cpus`` CPUs; no child process may be left after it."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_cpu_count", lambda: cpus)
+            try:
+                result = call()
+            except InputError as exc:
+                result = (type(exc), str(exc))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return result
+
+    @staticmethod
+    def bits(result):
+        if isinstance(result, tuple) and isinstance(result[1], np.ndarray):
+            return result[0], result[1].shape, result[1].tobytes()
+        if isinstance(result, float):
+            return result.hex()
+        return result
+
+    def same_on_one_and_two(self, split, call):
+        """The result of ``call`` on two CPUs, checked equal to one CPU's;
+        returns the serial reads and forks of the two-CPU call."""
+        forks = split["forks"]
+        one = self.bits(self.on_cpus(1, call))
+        assert split["forks"] == forks
+        before = dict(split)
+        two = self.bits(self.on_cpus(2, call))
+        assert two == one
+        return {key: split[key] - before[key] for key in split}
+
+    def test_fixtures_read_the_same_bits(self, fixtures_dir, split):
+        ref, hyp = fixtures_dir / "embeddings_ref.txt", fixtures_dir / "embeddings_hyp.txt"
+        paired = fixtures_dir / "text2mol_identity.txt"
+        assert paired.stat().st_size > 20 * SMALL_PIECE
+        assert self.same_on_one_and_two(split, lambda: fcd_from_files(ref, hyp)) == {
+            "serial": 0, "forks": 2}
+        assert self.same_on_one_and_two(split, lambda: read_vector_rows(paired, 2)) == {
+            "serial": 0, "forks": 1}
+
+    def test_eval_i2d_report_bytes(self, fixtures_dir, tmp_path, split):
+        from contextlib import redirect_stdout
+
+        from evalkit.cli import main
+
+        records = [json.loads(line) for line in
+                   (fixtures_dir / "pairs_100.jsonl").read_text("utf-8").splitlines()]
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"id": r["id"], "reference": r["smiles"],
+                        "hypothesis": records[k - 1]["smiles"] if k % 3 else r["smiles"]})
+            + "\n" for k, r in enumerate(records)), "utf-8")
+
+        def report():
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["eval-i2d", str(preds), "--format", "json",
+                             "--embeddings-ref", str(fixtures_dir / "embeddings_ref.txt"),
+                             "--embeddings-hyp", str(fixtures_dir / "embeddings_hyp.txt"),
+                             "--text2mol-embeddings",
+                             str(fixtures_dir / "text2mol_identity.txt")])
+            assert code == 0
+            return out.getvalue()
+
+        calls = self.same_on_one_and_two(split, report)
+        # Three embedding files, and the fingerprint sweep.
+        assert calls == {"serial": 0, "forks": 4}
+
+    def test_other_forms_of_a_file_are_read_on_one_cpu(self, fixtures_dir, tmp_path,
+                                                       split):
+        ref, hyp = fixtures_dir / "embeddings_ref.txt", fixtures_dir / "embeddings_hyp.txt"
+        want = self.on_cpus(2, lambda: fcd_from_files(ref, hyp))
+        gzipped = tmp_path / "ref.gz"
+        gzipped.write_bytes(gzip.compress(ref.read_bytes()))
+        split.update(serial=0, forks=0)
+        assert self.on_cpus(2, lambda: fcd_from_files(gzipped, hyp)) == want
+        call = TestMemoryBound.through_fifo(tmp_path, ref.read_bytes(),
+                                            lambda path: fcd_from_files(path, hyp))
+        assert self.on_cpus(2, call) == want
+        # Each reference read on one CPU; the plain hypothesis file on two.
+        assert split == {"serial": 2, "forks": 2}
+        # Standard input of a fresh process, as a pipe and as a file.
+        program = ("import sys; from evalkit import frechet; "
+                   f"frechet._SPLIT_PIECE_BYTES = {SMALL_PIECE}; "
+                   "frechet._SPLIT_MIN_BYTES = 0; "
+                   "print(repr(frechet.fcd_from_files('/dev/stdin', sys.argv[1])))")
+        env = dict(os.environ, PYTHONPATH=str(Path(frechet.__file__).resolve().parents[1]))
+        with ref.open("rb") as file:
+            for stdin in ({"input": ref.read_bytes()}, {"stdin": file}):
+                done = subprocess.run([sys.executable, "-c", program, str(hyp)],
+                                      capture_output=True, timeout=60, env=env, **stdin)
+                assert done.returncode == 0, done.stderr
+                assert done.stdout.decode() == f"{want!r}\n"
+
+    @staticmethod
+    def helper_piece_file(path, fault: bytes) -> None:
+        """Write a ``D=2`` file of many rows, in which the line that starts
+        past the middle of the helper's third piece is ``fault``."""
+        rng = random.Random(107)
+        head = b"D=2\n"
+        pair = 2 * SMALL_PIECE
+        mine = round(pair * frechet._SPLIT_CALLER_SHARE)
+        middle = len(head) + 2 * pair + mine + (pair - mine) // 2
+        data = head
+        while len(data) < middle:
+            data += _many_rows(rng, 1).encode()
+        data += fault + b"\n" + _many_rows(rng, 60).encode()
+        path.write_bytes(data)
+
+    # A NaN or infinite row is read, and raises only in the FCD fit.
+    @pytest.mark.parametrize("fault,read_raises", [
+        (b"0.5 \xff", True), (b"1 2 3", True), (b"1 x", True), (b"nan 1", False),
+        (b"1 1e999", False)],
+        ids=["undecodable", "value-count", "non-numeric", "nan", "infinite"])
+    def test_fault_in_a_helper_piece(self, fixtures_dir, tmp_path, split, fault,
+                                     read_raises):
+        path = tmp_path / "e.txt"
+        self.helper_piece_file(path, fault)
+        hyp = fixtures_dir / "embeddings_hyp.txt"
+        assert self.same_on_one_and_two(split, lambda: read_vector_rows(path)) == {
+            "serial": int(read_raises), "forks": 1}
+        # The fit raises, and the hypothesis file is never read.
+        assert self.same_on_one_and_two(split, lambda: fcd_from_files(path, hyp)) == {
+            "serial": 1, "forks": 1}
+
+    def test_helper_that_exits_mid_file(self, fixtures_dir, tmp_path, split, monkeypatch):
+        path = tmp_path / "e.txt"
+        self.helper_piece_file(path, b"0.5 0.25")
+        hyp = fixtures_dir / "embeddings_hyp.txt"
+        caller, chunk_rows = os.getpid(), frechet._chunk_rows
+        parsed = []
+
+        def dies_in_helper(*args):
+            if os.getpid() != caller:
+                parsed.append(args)  # the helper's own copy of the list
+                if len(parsed) > 2:
+                    os._exit(0)
+            return chunk_rows(*args)
+
+        monkeypatch.setattr(frechet, "_chunk_rows", dies_in_helper)
+        assert self.same_on_one_and_two(split, lambda: read_vector_rows(path)) == {
+            "serial": 1, "forks": 1}
+        assert self.same_on_one_and_two(split, lambda: fcd_from_files(path, hyp)) == {
+            "serial": 2, "forks": 2}
+
+    def test_hostile_files_read_as_on_one_cpu(self, tmp_path, split, monkeypatch):
+        """300 seeded files of plain rows around hostile lines, cut into
+        pieces of a few bytes, read and fitted (in blocks of two rows)."""
+        monkeypatch.setattr(frechet, "_SPLIT_PIECE_BYTES", 3)
+        monkeypatch.setattr(frechet, "_BLOCK_VALUES", 1)
+        rng = random.Random(109)
+
+        def plain(dim):
+            return "".join(" ".join(repr(rng.uniform(-9, 9)) for _ in range(dim))
+                           + rng.choice(_LINE_ENDS) for _ in range(rng.randrange(4)))
+
+        outcomes = {"read": 0, "fitted": 0, "InputError": 0}
+        for case in range(300):
+            dim = rng.randint(1, 3)
+            text = (f"D={dim}" + rng.choice(("\n", "\r\n")) + plain(dim)
+                    + _hostile_body(rng, dim) + plain(dim))
+            path = tmp_path / "e.txt"
+            path.write_bytes(text.encode("utf-8"))
+            read = self.same_on_one_and_two(split, lambda: read_vector_rows(path))
+            one = self.on_cpus(1, lambda: _fit_file(path))
+            two = self.on_cpus(2, lambda: _fit_file(path))
+            if isinstance(one, GaussianStats):
+                for a, b in ((one.mean, two.mean), (one.covariance, two.covariance)):
+                    assert a.tobytes() == b.tobytes(), text
+                outcomes["fitted"] += 1
+            else:
+                assert two == one, text
+                outcomes["InputError"] += 1
+            outcomes["read"] += read["serial"] == 0
+        assert min(outcomes.values()) > 30, outcomes
 
 
 class TestFcdFromFiles:
